@@ -5,7 +5,6 @@ from .datagen import SyntheticSpec, generate
 from .eigen import EigenPairs, full_dense_eigs, truncated_eigs
 from .embedding import Embedding, project_embedding, projected_density_check
 from .graph import (
-    NeighborhoodSpec,
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
     choose_epsilon,
@@ -43,7 +42,6 @@ __all__ = [
     "EigenPairs",
     "Embedding",
     "KMeansResult",
-    "NeighborhoodSpec",
     "SparseSymmetricMatrix",
     "SpectaclConfig",
     "SyntheticSpec",

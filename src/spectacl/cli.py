@@ -182,29 +182,23 @@ def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
         eps = epsilon if epsilon is not None else choose_epsilon(data)
         clustering = dbscan(data, DbscanConfig(epsilon=eps, min_pts=min_pts))
         return clustering, epsilon_graph(data, eps), eps
+    eps = None
+    if data is None:
+        W = adjacency
+    elif name == "spectacl":
+        eps = epsilon if epsilon is not None else auto_epsilon(data)
+        W = epsilon_graph(data, eps)
+    else:
+        W = knn_graph(data, knn)
     if name == "sc":
-        source = data if data is not None else adjacency
-        clustering = spectral_clustering(source, r, k=knn, seed=seed, restarts=restarts)
-        base = knn_graph(data, knn) if data is not None else adjacency
-        return clustering, symmetric_normalize(base), None
+        clustering = spectral_clustering(W, r, k=knn, seed=seed, restarts=restarts)
+        return clustering, symmetric_normalize(W), None
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"
     config = SpectaclConfig(
-        r=r, variant=variant, epsilon=epsilon, knn=knn, d=d, seed=seed, restarts=restarts
+        r=r, variant=variant, epsilon=eps, knn=knn, d=d, seed=seed, restarts=restarts
     )
-    source = data if data is not None else adjacency
-    eps = None
-    if variant == "unnormalized" and data is not None:
-        eps = epsilon if epsilon is not None else auto_epsilon(data)
-        config = SpectaclConfig(
-            r=r, variant=variant, epsilon=eps, knn=knn, d=d, seed=seed, restarts=restarts
-        )
-    clustering = spectacl(source, config)
-    if variant == "normalized":
-        eval_adj = symmetric_normalize(
-            knn_graph(data, knn) if data is not None else adjacency
-        )
-    else:
-        eval_adj = epsilon_graph(data, eps) if data is not None else adjacency
+    clustering = spectacl(W, config)
+    eval_adj = symmetric_normalize(W) if variant == "normalized" else W
     return clustering, eval_adj, eps
 
 

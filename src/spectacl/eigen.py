@@ -1,26 +1,18 @@
 """Truncated eigendecomposition of real symmetric matrices, ordered by |eigenvalue|.
 
 The clustering pipelines need the d eigenpairs of largest *absolute* eigenvalue
-of an indefinite adjacency matrix.  A single-ended iterative scheme converges
-toward one extreme of the spectrum only, so `truncated_eigs` runs Lanczos with
-full reorthogonalization once per spectral end (largest-algebraic and
-smallest-algebraic), merges the two converged prefixes, and keeps the d pairs
-of largest magnitude.  The d largest |eigenvalues| always consist of a prefix
-of each end of the algebraic ordering, so converging d pairs per end is
-sufficient.
+of an indefinite adjacency matrix.  `truncated_eigs` gets them from one call
+to ARPACK's implicitly restarted Lanczos (scipy's `eigsh` with which="LM"),
+which targets |eigenvalue| directly, so both ends of the spectrum are served
+by a single iteration.  The result is checked against explicit residuals
+before it is returned.  Small problems skip the iteration and use the dense
+path.
 
-Full reorthogonalization keeps the Krylov basis numerically orthonormal, which
-makes the classical residual estimate beta_k * |s_k| reliable and avoids ghost
-copies of converged Ritz values.  When an invariant subspace is exhausted
-(lucky breakdown), iteration continues from a fresh random vector orthogonal
-to the current basis; this is what lets repeated eigenvalues surface one copy
-at a time.  Small problems skip the iteration entirely and use the dense path.
-
-Determinism: start vectors come from a fixed internal seed, and every returned
-eigenvector is flipped so its largest-magnitude coordinate is positive (ties
-to the lower index), so repeated calls give bit-identical output for simple
-eigenvalues.  For repeated eigenvalues any orthonormal basis of the eigenspace
-may come back; compare projectors, not vectors.
+Determinism: the start vector comes from a fixed internal seed, and every
+returned eigenvector is flipped so its largest-magnitude coordinate is
+positive (ties to the lower index), so repeated calls give bit-identical
+output for simple eigenvalues.  For repeated eigenvalues any orthonormal basis
+of the eigenspace may come back; compare projectors, not vectors.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph import SparseSymmetricMatrix
 
@@ -36,10 +28,8 @@ from .graph import SparseSymmetricMatrix
 DENSE_FALLBACK_DIM = 512
 # Hard cap for the dense oracle itself.
 DENSE_ORACLE_LIMIT = 2048
-# Internal entropy prefix for reproducible Lanczos start vectors.
+# Internal entropy prefix for the reproducible ARPACK start vector.
 _START_SEED = 0x5EED
-# Matrix-vector product budget per spectral end, in multiples of m.
-_MATVEC_BUDGET_FACTOR = 10
 
 
 class EigenSolverError(RuntimeError):
@@ -125,10 +115,10 @@ def truncated_eigs(
     """The d eigenpairs of largest |eigenvalue| of a symmetric matrix.
 
     Residuals ||W v - lambda v|| are verified against tol * max(1, |lambda_1|)
-    before returning; non-convergence raises EigenSolverError with the
-    residual that was achieved.  `dense_threshold` is the size at or below
-    which the dense path is used (the iterative path also requires 2*d < m so
-    the two spectral ends cannot overlap).
+    before returning; non-convergence raises EigenSolverError.
+    `dense_threshold` is the size at or below which the dense path is used
+    (the iterative path also requires 2*d < m: ARPACK keeps a Krylov basis of
+    2*d + 1 vectors, so beyond that the dense solver is no more expensive).
     """
     m = W.dim
     if not 1 <= d <= m:
@@ -136,16 +126,17 @@ def truncated_eigs(
     if m <= dense_threshold or 2 * d >= m:
         vals, vecs = _dense_pairs(W.to_dense())
         return EigenPairs(vals[:d], _fix_signs(vecs[:, :d]))
+    if W.nnz == 0:
+        # every vector is an eigenvector of the zero matrix, and ARPACK
+        # cannot start from the zero Krylov vector W @ v0
+        return EigenPairs(np.zeros(d), np.eye(m, d))
 
-    top_vals, top_vecs = _lanczos_end(W, d, largest=True, tol=tol)
-    bot_vals, bot_vecs = _lanczos_end(W, d, largest=False, tol=tol)
-    vals = np.concatenate([top_vals, bot_vals])
-    vecs = np.concatenate([top_vecs, bot_vecs], axis=1)
-    if vals.shape[0] < d:
-        raise EigenSolverError(
-            f"iteration produced only {vals.shape[0]} of {d} requested pairs"
-        )
-    order = _abs_order(vals)[:d]
+    v0 = np.random.default_rng(np.random.SeedSequence([_START_SEED, m])).standard_normal(m)
+    try:
+        vals, vecs = eigsh(W.matrix, k=d, which="LM", tol=tol, v0=v0)
+    except ArpackError as exc:
+        raise EigenSolverError(f"ARPACK failed: {exc}") from exc
+    order = _abs_order(vals)
     vals, vecs = vals[order], vecs[:, order]
 
     # columns are unit norm up to roundoff; tighten before the residual check
@@ -159,109 +150,3 @@ def truncated_eigs(
             residual=worst,
         )
     return EigenPairs(vals, _fix_signs(vecs))
-
-
-def _lanczos_end(
-    W: SparseSymmetricMatrix,
-    num: int,
-    largest: bool,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Converge `num` eigenpairs at one algebraic end of the spectrum.
-
-    Works on B = +/-W so that the requested end is always the top of B; the
-    returned eigenvalues are mapped back to W's sign convention.
-    """
-    m = W.dim
-    sign = 1.0 if largest else -1.0
-    mat = W.matrix if largest else -W.matrix
-    rng = np.random.default_rng(
-        np.random.SeedSequence([_START_SEED, m, int(largest)])
-    )
-    budget = _MATVEC_BUDGET_FACTOR * m
-    check_every = max(5, num // 2)
-
-    cap = min(m, max(4 * num + 40, 120))
-    Q = np.empty((m, cap), dtype=np.float64)
-    alphas: list[float] = []
-    betas: list[float] = []
-
-    q = rng.standard_normal(m)
-    q /= np.linalg.norm(q)
-    Q[:, 0] = q
-    q_prev = np.zeros(m)
-    beta_prev = 0.0
-    matvecs = 0
-    gershgorin = 0.0
-    # top-value multiset at the previous breakdown; a breakdown may only
-    # accept once a full restart block surfaced no further end-of-spectrum
-    # copies (repeated eigenvalues enter the Krylov space one copy at a time)
-    prev_breakdown_top = None
-
-    def finish(theta, S, count):
-        idx = np.argsort(theta)[-count:]
-        return sign * theta[idx], Q[:, : len(theta)] @ S[:, idx]
-
-    k = 0
-    while True:
-        w = mat @ q
-        matvecs += 1
-        a = float(q @ w)
-        w = w - a * q - beta_prev * q_prev
-        # two-pass classical Gram-Schmidt against the whole basis
-        for _ in range(2):
-            w -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ w)
-        b = float(np.linalg.norm(w))
-        alphas.append(a)
-        gershgorin = max(gershgorin, abs(a) + abs(b) + abs(beta_prev))
-
-        done = k + 1 >= m or matvecs >= budget
-        breakdown = b <= 1e-13 * max(1.0, gershgorin)
-        if done:
-            theta, S = _tridiag_eig(alphas, betas)
-            return finish(theta, S, min(num, len(theta)))
-
-        if breakdown:
-            theta, S = _tridiag_eig(alphas, betas)
-            scale = max(1.0, float(np.abs(theta).max()))
-            top = np.sort(theta[np.argsort(theta)[-num:]]) if len(theta) >= num else None
-            if top is not None and prev_breakdown_top is not None and np.allclose(
-                top, prev_breakdown_top, atol=1e-10 * scale, rtol=0.0
-            ):
-                return finish(theta, S, num)
-            prev_breakdown_top = top
-            fresh = rng.standard_normal(m)
-            for _ in range(2):
-                fresh -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ fresh)
-            nf = float(np.linalg.norm(fresh))
-            if nf <= 1e-8:
-                # no unexplored direction left
-                return finish(theta, S, min(num, len(theta)))
-            q_prev, q = q, fresh / nf
-            beta_prev = 0.0
-            betas.append(0.0)
-        else:
-            if k + 1 >= num and (k + 1) % check_every == 0:
-                theta, S = _tridiag_eig(alphas, betas)
-                scale = max(1.0, float(np.abs(theta).max()))
-                est = abs(b) * np.abs(S[-1, -num:])
-                if len(theta) >= num and np.all(est <= 0.5 * tol * scale):
-                    return finish(theta, S, num)
-            q_prev, q = q, w / b
-            beta_prev = b
-            betas.append(b)
-
-        k += 1
-        if k >= Q.shape[1]:
-            grow = np.empty((m, min(m, Q.shape[1] * 2)), dtype=np.float64)
-            grow[:, : Q.shape[1]] = Q
-            Q = grow
-        Q[:, k] = q
-
-
-def _tridiag_eig(alphas, betas):
-    a = np.asarray(alphas, dtype=np.float64)
-    if len(a) == 1:
-        return a.copy(), np.ones((1, 1))
-    e = np.asarray(betas[: len(a) - 1], dtype=np.float64)
-    return eigh_tridiagonal(a, e)

@@ -63,33 +63,11 @@ class SparseSymmetricMatrix:
         """Row sums (weighted node degrees)."""
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def quadratic_form(self, y: np.ndarray) -> float:
-        return float(y @ (self.matrix @ y))
-
     def add_scaled_identity(self, c: float) -> "SparseSymmetricMatrix":
         """Return c*I + self."""
         return SparseSymmetricMatrix(
             (sp.identity(self.dim, format="csr") * c + self.matrix).tocsr()
         )
-
-
-@dataclass(frozen=True)
-class NeighborhoodSpec:
-    """Euclidean neighborhood rule: a fixed ball radius or a neighbor count."""
-
-    mode: str  # "epsilon" | "knn"
-    radius: float | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.mode == "epsilon":
-            if self.radius is None or not np.isfinite(self.radius) or self.radius <= 0:
-                raise GraphError(f"epsilon mode needs a positive finite radius, got {self.radius}")
-        elif self.mode == "knn":
-            if self.k is None or self.k < 1:
-                raise GraphError(f"knn mode needs k >= 1, got {self.k}")
-        else:
-            raise GraphError(f"unknown neighborhood mode {self.mode!r}")
 
 
 def pairwise_distances(data: DataMatrix) -> np.ndarray:
@@ -182,13 +160,6 @@ def choose_epsilon(data: DataMatrix, neighbor_count: int = 10, coverage: float =
         # coincident points: any positive radius admits distance-0 neighbors
         return float(np.finfo(np.float64).tiny)
     return float(quantile * RADIUS_NUDGE)
-
-
-def build_adjacency(data: DataMatrix, spec: NeighborhoodSpec) -> SparseSymmetricMatrix:
-    """Build the adjacency matrix selected by a NeighborhoodSpec."""
-    if spec.mode == "epsilon":
-        return epsilon_graph(data, spec.radius)
-    return knn_graph(data, spec.k)
 
 
 def adjacency_from_edge_list(edges: EdgeList) -> SparseSymmetricMatrix:

@@ -1,7 +1,9 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
+from spectacl import cli, pipelines
 from spectacl.cli import main
 
 
@@ -176,3 +178,24 @@ def test_sweep_d_axis_shares_datasets(tmp_path):
 def test_eps_flag_rejects_garbage(capsys):
     code = run_cli(["--gen", "moons", "--m", "50", "--algo", "dbscan", "--eps", "soon"])
     assert code == 2
+
+
+@pytest.mark.parametrize("algo, builder", [
+    ("spectacl", "epsilon_graph"), ("spectacl-norm", "knn_graph"), ("sc", "knn_graph"),
+])
+def test_single_run_builds_one_graph(monkeypatch, capsys, algo, builder):
+    calls = {"epsilon_graph": 0, "knn_graph": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # the pipelines module binds the same builders; count its calls too
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(pipelines, name, counted)
+    code = run_cli(["--gen", "moons", "--m", "120", "--algo", algo, "-r", "2", "-d", "8"])
+    assert code == 0
+    assert "objective=" in capsys.readouterr().out
+    assert calls == {name: int(name == builder) for name in calls}

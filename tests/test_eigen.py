@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from spectacl import eigen
+from spectacl.dataio import DataMatrix
 from spectacl.eigen import (
     EigenPairs,
     EigenSolverError,
     full_dense_eigs,
     truncated_eigs,
 )
-from spectacl.graph import SparseSymmetricMatrix
+from spectacl.graph import SparseSymmetricMatrix, epsilon_graph
 
 from conftest import cliques_graph
 
@@ -90,13 +94,44 @@ def test_lanczos_path_matches_dense_oracle(rng):
         assert res.max() <= 1e-8 * max(1.0, abs(pairs.values[0]))
 
 
-def test_lanczos_resolves_multiplicity():
-    # eight disjoint five-cliques: top eigenvalue 4 with multiplicity 8
-    W, _ = cliques_graph((5,) * 8)
-    pairs = truncated_eigs(W, 8, dense_threshold=0)
-    assert np.allclose(pairs.values, 4.0, atol=1e-9)
+@pytest.mark.parametrize(
+    "size, copies",
+    [pytest.param(5, 8, id="8-cliques-of-5"), pytest.param(30, 20, id="20-cliques-of-30")],
+)
+def test_lanczos_resolves_multiplicity(size, copies):
+    # disjoint cliques: top eigenvalue size-1 with multiplicity `copies`
+    W, _ = cliques_graph((size,) * copies)
+    pairs = truncated_eigs(W, copies, dense_threshold=0)
+    assert np.allclose(pairs.values, size - 1.0, atol=1e-9)
     G = pairs.vectors.T @ pairs.vectors
-    assert np.abs(G - np.eye(8)).max() <= 1e-8
+    assert np.abs(G - np.eye(copies)).max() <= 1e-8
+
+
+def test_sparse_graph_top_magnitudes_match_dense_oracle():
+    # a sparse epsilon graph whose largest-|lambda| set mixes both spectral
+    # ends; solving each end separately once missed some of these pairs
+    data = DataMatrix(np.random.default_rng(0).uniform(size=(600, 2)))
+    W = epsilon_graph(data, 0.02)
+    pairs = truncated_eigs(W, 50)
+    oracle = full_dense_eigs(W.to_dense())
+    assert np.allclose(np.abs(pairs.values), np.abs(oracle.values[:50]), atol=1e-8)
+
+
+def test_zero_matrix_returns_zero_pairs():
+    W = SparseSymmetricMatrix(sp.csr_matrix((600, 600)))
+    pairs = truncated_eigs(W, 7)
+    assert np.array_equal(pairs.values, np.zeros(7))
+    assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-12
+
+
+def test_arpack_failure_is_eigen_solver_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((600, 0)))
+
+    monkeypatch.setattr(eigen, "eigsh", no_convergence)
+    W, _ = cliques_graph((30,) * 20)
+    with pytest.raises(EigenSolverError, match="ARPACK"):
+        truncated_eigs(W, 5)
 
 
 def test_vectors_pairwise_orthogonal(rng):

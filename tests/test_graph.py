@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from spectacl.dataio import DataMatrix
 from spectacl.graph import (
     GraphError,
-    NeighborhoodSpec,
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
-    build_adjacency,
     choose_epsilon,
     epsilon_graph,
     knn_graph,
@@ -200,23 +198,6 @@ def test_choose_epsilon_rejects_large_neighbor_count():
     data = DataMatrix(np.array([[0.0], [1.0]]))
     with pytest.raises(GraphError):
         choose_epsilon(data, neighbor_count=2)
-
-
-def test_neighborhood_spec_validation():
-    with pytest.raises(GraphError):
-        NeighborhoodSpec(mode="epsilon", radius=-1.0)
-    with pytest.raises(GraphError):
-        NeighborhoodSpec(mode="knn", k=0)
-    with pytest.raises(GraphError):
-        NeighborhoodSpec(mode="ball")
-
-
-def test_build_adjacency_dispatch():
-    data = DataMatrix(np.array([[0.0], [1.0], [2.0]]))
-    eps = build_adjacency(data, NeighborhoodSpec(mode="epsilon", radius=1.5))
-    assert eps.nnz == 4
-    knn = build_adjacency(data, NeighborhoodSpec(mode="knn", k=1))
-    assert knn.dim == 3
 
 
 def test_adjacency_from_edge_list():
