@@ -10,7 +10,6 @@ from .graph import (
     choose_epsilon,
     epsilon_graph,
     knn_graph,
-    pairwise_distances,
     symmetric_normalize,
 )
 from .kmeans import Clustering, KMeansResult, kmeans, labeling_inertia, trace_objective
@@ -64,7 +63,6 @@ __all__ = [
     "load_labeled_points",
     "load_points",
     "nmi",
-    "pairwise_distances",
     "project_embedding",
     "projected_density_check",
     "ratio_cut",

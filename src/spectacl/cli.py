@@ -17,14 +17,15 @@ from .datagen import SHAPES, SyntheticSpec, generate
 from .graph import (
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
-    choose_epsilon,
     epsilon_graph,
     knn_graph,
     symmetric_normalize,
 )
 from .kmeans import Clustering
 from .pipelines import (
+    AUTO_EPSILON_SCALE,
     DbscanConfig,
+    PipelineError,
     SpectaclConfig,
     auto_epsilon,
     dbscan,
@@ -179,14 +180,14 @@ def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
     if name == "dbscan":
         if data is None:
             raise UsageError("dbscan needs point data, not a graph")
-        eps = epsilon if epsilon is not None else choose_epsilon(data)
+        eps = epsilon if epsilon is not None else _auto_epsilon(data, scale=1.0)
         clustering = dbscan(data, DbscanConfig(epsilon=eps, min_pts=min_pts))
         return clustering, epsilon_graph(data, eps), eps
     eps = None
     if data is None:
         W = adjacency
     elif name == "spectacl":
-        eps = epsilon if epsilon is not None else auto_epsilon(data)
+        eps = epsilon if epsilon is not None else _auto_epsilon(data)
         W = epsilon_graph(data, eps)
     else:
         W = knn_graph(data, knn)
@@ -200,6 +201,14 @@ def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
     clustering = spectacl(W, config)
     eval_adj = symmetric_normalize(W) if variant == "normalized" else W
     return clustering, eval_adj, eps
+
+
+def _auto_epsilon(data, scale=AUTO_EPSILON_SCALE):
+    """auto_epsilon, with too few points reported as a usage error."""
+    try:
+        return auto_epsilon(data, scale)
+    except PipelineError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def run_cluster(args) -> None:

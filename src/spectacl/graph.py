@@ -1,19 +1,34 @@
 """Neighborhood graphs from point data: epsilon-ball and kNN adjacency, degree
-normalization, and the quantile heuristic that picks the ball radius."""
+normalization, and the quantile heuristic that picks the ball radius.
+
+Neighborhoods come from `scipy.spatial.cKDTree` queries, so no m x m matrix is
+ever formed.  The tree includes the ball boundary and rounds in its own way, so
+each query asks for a radius widened by TREE_SLACK and the candidates are
+filtered on the per-pair distance formula of `_distances` with the strict "<"
+rule.  The results equal those of a dense distance matrix built with the same
+formula, bit for bit.  Coincident points (distance 0) are neighbors of each
+other in every graph and count toward every neighbor count; a point is never
+its own neighbor.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .dataio import DataMatrix, EdgeList
 
 # Multiplicative nudge so that a radius derived from an observed distance still
 # admits that distance under the strict "<" neighborhood rule.
 RADIUS_NUDGE = 1.0 + 2.0 ** -40
+# Relative widening of every tree query radius; far above the rounding gap
+# between the tree's distances and those of `_distances`.
+TREE_SLACK = 1.0 + 1e-9
 
 
 class GraphError(ValueError):
@@ -70,29 +85,57 @@ class SparseSymmetricMatrix:
         )
 
 
-def pairwise_distances(data: DataMatrix) -> np.ndarray:
-    """Dense m x m Euclidean distance matrix.
+def _distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each (rows[i], cols[i]) pair.
 
     Computed with the plain per-pair difference formula (not the expanded
     inner-product shortcut), so values near a ball boundary are not perturbed
-    by cancellation and the matrix is exactly symmetric.
+    by cancellation and d(j, l) == d(l, j) exactly.  Every strict "<" test in
+    this module is applied to these values, never to the tree's own distances.
     """
-    X = data.values
-    m = X.shape[0]
-    out = np.empty((m, m), dtype=np.float64)
-    for j in range(m):
-        diff = X - X[j]
-        out[j] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return out
+    diff = X[rows] - X[cols]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
-    """Unweighted graph connecting points at distance 0 < d < radius (strict)."""
+    """Unweighted graph connecting distinct points j != l at distance d < radius
+    (strict).  Coincident points (d = 0) are neighbors."""
     if not np.isfinite(radius) or radius <= 0:
         raise GraphError(f"radius must be positive and finite, got {radius}")
-    dmat = pairwise_distances(data)
-    mask = (dmat > 0.0) & (dmat < radius)
-    return SparseSymmetricMatrix(sp.csr_matrix(mask.astype(np.float64)))
+    X = data.values
+    pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
+    pairs = pairs[_distances(X, pairs[:, 0], pairs[:, 1]) < radius]
+    rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(data.m, data.m))
+    return SparseSymmetricMatrix(mat)
+
+
+def _nearest_candidates(data: DataMatrix, k: int):
+    """Per point, every other point that can be among its k nearest.
+
+    The tree finds each point's k-th neighbor distance, then a ball slightly
+    wider than it collects all points tied with (or, in the tree's arithmetic,
+    rounded past) that neighbor.  Returns (rows, cols, dist, starts): the
+    candidate pairs sorted by (row, exact distance, col), and the offset of
+    each row's first candidate.  Each row has at least k candidates, and its
+    first k are its k nearest with ties broken toward the lowest index.
+    """
+    X = data.values
+    tree = cKDTree(X)
+    # k + 1 nearest, self included: the last one is the k-th distance to others
+    nearest, _ = tree.query(X, k=k + 1)
+    balls = tree.query_ball_point(X, nearest[:, k] * TREE_SLACK, return_sorted=False)
+    counts = np.fromiter((len(b) for b in balls), dtype=np.intp, count=data.m)
+    rows = np.repeat(np.arange(data.m), counts)
+    cols = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
+    others = rows != cols  # self is never its own neighbor
+    rows, cols = rows[others], cols[others]
+    dist = _distances(X, rows, cols)
+    order = np.lexsort((cols, dist, rows))
+    rows, cols, dist = rows[order], cols[order], dist[order]
+    starts = np.searchsorted(rows, np.arange(data.m))
+    return rows, cols, dist, starts
 
 
 def knn_graph(data: DataMatrix, k: int) -> SparseSymmetricMatrix:
@@ -104,16 +147,10 @@ def knn_graph(data: DataMatrix, k: int) -> SparseSymmetricMatrix:
     m = data.m
     if not 1 <= k < m:
         raise GraphError(f"need 1 <= k < m, got k={k}, m={m}")
-    dmat = pairwise_distances(data)
-    A = np.zeros((m, m), dtype=np.float64)
-    idx = np.arange(m)
-    for j in range(m):
-        d = dmat[j].copy()
-        d[j] = np.inf  # self is never its own neighbor
-        order = np.lexsort((idx, d))
-        A[j, order[:k]] = 1.0
-    W = (A + A.T) / 2.0
-    return SparseSymmetricMatrix(sp.csr_matrix(W))
+    rows, cols, _, starts = _nearest_candidates(data, k)
+    picked = (starts[:, None] + np.arange(k)).ravel()
+    A = sp.csr_matrix((np.ones(picked.size), (rows[picked], cols[picked])), shape=(m, m))
+    return SparseSymmetricMatrix((A + A.T) / 2.0)
 
 
 def symmetric_normalize(W: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
@@ -132,16 +169,13 @@ def symmetric_normalize(W: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
 
 
 def kth_neighbor_distances(data: DataMatrix, neighbor_count: int) -> np.ndarray:
-    """Per point, the distance to its neighbor_count-th nearest other point."""
+    """Per point, the distance to its neighbor_count-th nearest other point
+    (coincident points count, at distance 0)."""
     m = data.m
-    if neighbor_count >= m:
-        raise GraphError(f"neighbor_count must be < m, got {neighbor_count} with m={m}")
-    dmat = pairwise_distances(data)
-    out = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        others = np.delete(dmat[j], j)
-        out[j] = np.partition(others, neighbor_count - 1)[neighbor_count - 1]
-    return out
+    if not 1 <= neighbor_count < m:
+        raise GraphError(f"neighbor_count must be in [1, m), got {neighbor_count} with m={m}")
+    _, _, dist, starts = _nearest_candidates(data, neighbor_count)
+    return dist[starts + neighbor_count - 1]
 
 
 def choose_epsilon(data: DataMatrix, neighbor_count: int = 10, coverage: float = 0.9) -> float:

@@ -15,9 +15,11 @@ so component recovery is exact; dropping a column in favor of an (r+1)-th one
 would admit a within-component eigenvector instead.
 
 dbscan: core points are those with at least min_pts other points strictly
-inside the epsilon ball (the point itself never counts); clusters are
-reachability components of core points, border points join their lowest-index
-core neighbor, the rest is noise.
+inside the epsilon ball (the point itself never counts, coincident points do);
+this is the degree in the epsilon graph.  Clusters are the connected components
+of the core subgraph (index-based DBSCAN, Ester et al. 1996; Schubert et al.
+2017), numbered by their lowest core index; border points join their
+lowest-index core neighbor, the rest is noise.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .dataio import DataMatrix
 from .eigen import truncated_eigs
@@ -36,7 +39,6 @@ from .graph import (
     choose_epsilon,
     epsilon_graph,
     knn_graph,
-    pairwise_distances,
     symmetric_normalize,
 )
 from .kmeans import DEFAULT_RESTARTS, NOISE, Clustering, kmeans
@@ -53,6 +55,8 @@ VARIANTS = ("unnormalized", "normalized")
 # keeping the heuristic's per-dataset adaptivity.  DBSCAN keeps the raw
 # quantile: its core threshold is calibrated against the raw neighbor counts.
 AUTO_EPSILON_SCALE = 2.0
+# The coverage rule gives this many neighbors to 90% of the points.
+AUTO_EPSILON_NEIGHBORS = 10
 
 
 class PipelineError(ValueError):
@@ -97,9 +101,18 @@ class DbscanConfig:
             raise PipelineError(f"need min_pts >= 1, got {self.min_pts}")
 
 
-def auto_epsilon(data: DataMatrix) -> float:
-    """Ball radius used by spectacl when none is given: the scaled coverage quantile."""
-    return AUTO_EPSILON_SCALE * choose_epsilon(data)
+def auto_epsilon(data: DataMatrix, scale: float = AUTO_EPSILON_SCALE) -> float:
+    """Ball radius picked from the data: the coverage quantile times scale.
+
+    The default scale is the one spectacl uses when no radius is given; DBSCAN
+    uses the raw quantile (scale 1).
+    """
+    if data.m <= AUTO_EPSILON_NEIGHBORS:
+        raise PipelineError(
+            f"automatic epsilon needs at least {AUTO_EPSILON_NEIGHBORS + 1} points, "
+            f"got {data.m}; pass an epsilon"
+        )
+    return scale * choose_epsilon(data, neighbor_count=AUTO_EPSILON_NEIGHBORS)
 
 
 def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
@@ -171,34 +184,20 @@ def dbscan(data: DataMatrix, config: DbscanConfig) -> Clustering:
     """
     if not isinstance(data, DataMatrix):
         raise PipelineError(f"dbscan needs point data, got {type(data).__name__}")
-    dmat = pairwise_distances(data)
-    m = data.m
-    inside = dmat < config.epsilon
-    np.fill_diagonal(inside, False)
-    neighbor_counts = inside.sum(axis=1)
-    core = neighbor_counts >= config.min_pts
+    W = epsilon_graph(data, config.epsilon).matrix
+    core = np.flatnonzero(np.diff(W.indptr) >= config.min_pts)
+    n_clusters, component = connected_components(W[core][:, core], directed=False)
+    # number clusters by their lowest core index (scipy does not document its order)
+    _, first = np.unique(component, return_index=True)
+    rank = np.empty(n_clusters, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_clusters)
 
-    labels = np.full(m, NOISE, dtype=np.int64)
-    next_id = 0
-    for start in range(m):
-        if not core[start] or labels[start] != NOISE:
-            continue
-        # flood-fill the core subgraph component
-        labels[start] = next_id
-        frontier = [start]
-        while frontier:
-            j = frontier.pop()
-            for l in np.flatnonzero(inside[j] & core):
-                if labels[l] == NOISE:
-                    labels[l] = next_id
-                    frontier.append(int(l))
-        next_id += 1
-
-    for j in range(m):
-        if labels[j] != NOISE or core[j]:
-            continue
-        reachable = np.flatnonzero(inside[j] & core)
-        if reachable.size:
-            labels[j] = labels[reachable[0]]  # lowest-index core neighbor
-
-    return Clustering(labels=labels, n_clusters=next_id)
+    labels = np.full(data.m, NOISE, dtype=np.int64)
+    labels[core] = rank[component]
+    border = W[:, core]  # columns in core order, which is index order
+    border.sort_indices()
+    reach = np.diff(border.indptr) > 0
+    reach[core] = False
+    first_core = border.indices[border.indptr[:-1][reach]]  # lowest-index core neighbor
+    labels[reach] = labels[core[first_core]]
+    return Clustering(labels=labels, n_clusters=n_clusters)

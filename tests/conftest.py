@@ -9,7 +9,7 @@ import pytest
 
 from spectacl.dataio import DataMatrix
 from spectacl.graph import SparseSymmetricMatrix
-from spectacl.kmeans import Clustering
+from spectacl.kmeans import NOISE, Clustering
 
 
 def cliques_graph(sizes):
@@ -38,6 +38,94 @@ def random_epsilon_graph(rng, m, target_degree=6):
     k = min(target_degree, m - 1)
     radius = float(np.median(kth_neighbor_distances(data, k))) * 1.1
     return data, epsilon_graph(data, radius)
+
+
+def pairwise_distances(data: DataMatrix) -> np.ndarray:
+    """Dense m x m Euclidean distance matrix: the oracle for every neighborhood
+    query in spectacl.graph.
+
+    Computed with the plain per-pair difference formula (not the expanded
+    inner-product shortcut), so values near a ball boundary are not perturbed
+    by cancellation and the matrix is exactly symmetric.
+    """
+    X = data.values
+    m = X.shape[0]
+    out = np.empty((m, m), dtype=np.float64)
+    for j in range(m):
+        diff = X - X[j]
+        out[j] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
+
+
+def dense_epsilon_graph(data, radius):
+    """Indicator of d < radius off the diagonal (coincident points included)."""
+    d = pairwise_distances(data)
+    return ((d < radius) & ~np.eye(data.m, dtype=bool)).astype(float)
+
+
+def dense_kth_neighbor_distances(data, k):
+    """Per point, the k-th smallest distance to the other points."""
+    d = pairwise_distances(data)
+    return np.array([np.partition(np.delete(d[j], j), k - 1)[k - 1] for j in range(data.m)])
+
+
+def dense_knn_graph(data, k):
+    """(A + A^T)/2 where A[j] marks the k others first in (distance, index) order."""
+    d = pairwise_distances(data)
+    m = data.m
+    A = np.zeros((m, m))
+    idx = np.arange(m)
+    for j in range(m):
+        row = d[j].copy()
+        row[j] = np.inf  # self is never its own neighbor
+        A[j, np.lexsort((idx, row))[:k]] = 1.0
+    return (A + A.T) / 2.0
+
+
+def flood_fill_dbscan(data, epsilon, min_pts):
+    """DBSCAN by flood fill over the dense "inside the ball" matrix: clusters
+    numbered in order of their lowest core index, border points joining their
+    lowest-index core neighbor."""
+    m = data.m
+    inside = pairwise_distances(data) < epsilon
+    np.fill_diagonal(inside, False)
+    core = inside.sum(axis=1) >= min_pts
+
+    labels = np.full(m, NOISE, dtype=np.int64)
+    next_id = 0
+    for start in range(m):
+        if not core[start] or labels[start] != NOISE:
+            continue
+        labels[start] = next_id
+        frontier = [start]
+        while frontier:
+            j = frontier.pop()
+            for l in np.flatnonzero(inside[j] & core):
+                if labels[l] == NOISE:
+                    labels[l] = next_id
+                    frontier.append(int(l))
+        next_id += 1
+
+    for j in range(m):
+        if labels[j] != NOISE or core[j]:
+            continue
+        reachable = np.flatnonzero(inside[j] & core)
+        if reachable.size:
+            labels[j] = labels[reachable[0]]
+    return Clustering(labels=labels, n_clusters=next_id)
+
+
+def point_cloud(seed, m, kind):
+    """Seeded point cloud of one of three kinds: uniform reals, points on a
+    small integer lattice (many exact boundary distances and k-th neighbor
+    ties), or a few distinct points repeated (coincident points)."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return DataMatrix(rng.uniform(-1, 1, size=(m, 2)))
+    if kind == "lattice":
+        return DataMatrix(rng.integers(0, 6, size=(m, 2)).astype(float))
+    pool = rng.uniform(-1, 1, size=(max(1, m // 3), 2))
+    return DataMatrix(pool[rng.integers(0, pool.shape[0], size=m)])
 
 
 def dense_objective(labels, A, r):

@@ -40,6 +40,16 @@ def test_csv_input_dbscan_auto_epsilon(tmp_path, capsys):
     assert "epsilon=" in printed and "(auto)" in printed
 
 
+@pytest.mark.parametrize("algo", ["spectacl", "dbscan"])
+def test_auto_epsilon_on_ten_points_is_usage_error(tmp_path, capsys, algo):
+    pts = tmp_path / "points.csv"
+    rows = np.random.default_rng(0).normal(0, 0.2, size=(10, 2))
+    pts.write_text("\n".join(f"{x},{y}" for x, y in rows) + "\n")
+    code = run_cli(["--in", str(pts), "--algo", algo, "-r", "2", "--eps", "auto"])
+    assert code == 2
+    assert "at least 11 points" in capsys.readouterr().err
+
+
 def test_missing_r_is_usage_error(capsys):
     code = run_cli(["--gen", "moons", "--m", "50", "--algo", "spectacl"])
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spectacl.dataio import DataMatrix
 from spectacl.graph import (
+    RADIUS_NUDGE,
     GraphError,
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
@@ -14,10 +15,21 @@ from spectacl.graph import (
     epsilon_graph,
     knn_graph,
     kth_neighbor_distances,
-    pairwise_distances,
     symmetric_normalize,
 )
 from spectacl.dataio import EdgeList
+
+from conftest import (
+    dense_epsilon_graph,
+    dense_kth_neighbor_distances,
+    dense_knn_graph,
+    pairwise_distances,
+    point_cloud,
+)
+
+CLOUDS = st.sampled_from(("uniform", "lattice", "duplicates"))
+# lattice clouds have integer coordinates: these radii equal many distances exactly
+RADII = st.sampled_from((0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0, 0.37, 1.3))
 
 
 def test_pairwise_345_triangle():
@@ -69,8 +81,50 @@ def test_epsilon_graph_equals_indicator(m, radius, seed):
     rng = np.random.default_rng(seed)
     data = DataMatrix(rng.uniform(-1, 1, size=(m, 2)))
     d = pairwise_distances(data)
-    expect = ((d > 0) & (d < radius)).astype(float)
+    expect = ((d < radius) & ~np.eye(m, dtype=bool)).astype(float)
     assert np.array_equal(epsilon_graph(data, radius).to_dense(), expect)
+
+
+def test_epsilon_graph_coincident_points_one_edge():
+    data = DataMatrix(np.array([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]]))
+    W = epsilon_graph(data, 0.5)
+    assert np.array_equal(W.to_dense(), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), CLOUDS, RADII)
+def test_epsilon_graph_equals_dense_oracle(seed, m, kind, radius):
+    data = point_cloud(seed, m, kind)
+    W = epsilon_graph(data, radius)
+    assert np.array_equal(W.to_dense(), dense_epsilon_graph(data, radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), CLOUDS, st.integers(1, 12))
+def test_knn_graph_equals_dense_oracle(seed, m, kind, k):
+    data = point_cloud(seed, m, kind)
+    k = min(k, m - 1)
+    assert np.array_equal(knn_graph(data, k).to_dense(), dense_knn_graph(data, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), CLOUDS, st.integers(1, 12),
+       st.floats(0.05, 1.0))
+def test_kth_distances_and_epsilon_equal_dense_oracle(seed, m, kind, k, coverage):
+    data = point_cloud(seed, m, kind)
+    k = min(k, m - 1)
+    kth = dense_kth_neighbor_distances(data, k)
+    assert np.array_equal(kth_neighbor_distances(data, k), kth)
+    quantile = np.sort(kth)[min(m, max(1, math.ceil(coverage * m - 1e-9))) - 1]
+    expect = np.finfo(np.float64).tiny if quantile <= 0 else quantile * RADIUS_NUDGE
+    assert choose_epsilon(data, neighbor_count=k, coverage=coverage) == expect
+
+
+def test_kth_neighbor_count_must_be_in_range():
+    data = DataMatrix(np.arange(4.0).reshape(-1, 1))
+    for bad in (0, 4):
+        with pytest.raises(GraphError, match="neighbor_count"):
+            kth_neighbor_distances(data, bad)
 
 
 def test_knn_two_points_mutual():

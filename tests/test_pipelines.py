@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spectacl as spectacl_package
 
 from spectacl.dataio import DataMatrix
 from spectacl.datagen import SyntheticSpec, generate
@@ -16,7 +25,7 @@ from spectacl.pipelines import (
     spectral_clustering,
 )
 
-from conftest import cliques_graph, exhaustive_best_density
+from conftest import cliques_graph, exhaustive_best_density, flood_fill_dbscan, point_cloud
 
 
 def test_spectacl_two_cliques_reaches_exhaustive_optimum():
@@ -173,3 +182,48 @@ def test_dbscan_config_validation():
         DbscanConfig(epsilon=0.0, min_pts=2)
     with pytest.raises(PipelineError):
         DbscanConfig(epsilon=1.0, min_pts=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.sampled_from(("uniform", "lattice", "duplicates")),
+    st.sampled_from((0.3, 0.5, 1.0, 2.0 ** 0.5, 2.0, 3.0)),
+    st.integers(1, 8),
+)
+def test_dbscan_equals_flood_fill_oracle(seed, m, kind, epsilon, min_pts):
+    data = point_cloud(seed, m, kind)
+    got = dbscan(data, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
+    expect = flood_fill_dbscan(data, epsilon, min_pts)
+    assert got.n_clusters == expect.n_clusters
+    assert np.array_equal(got.labels, expect.labels)
+
+
+def test_auto_epsilon_needs_eleven_points():
+    data, _ = generate(SyntheticSpec(shape="moons", m=10, noise=0.0, seed=0))
+    with pytest.raises(PipelineError, match="at least 11 points.*pass an epsilon"):
+        auto_epsilon(data)
+    with pytest.raises(PipelineError, match="at least 11 points"):
+        spectacl(data, SpectaclConfig(r=2, d=4))
+    eleven, _ = generate(SyntheticSpec(shape="moons", m=11, noise=0.0, seed=0))
+    assert auto_epsilon(eleven) > 0
+
+
+_BOUNDED_RUN = """
+import resource
+from spectacl import SpectaclConfig, SyntheticSpec, generate, spectacl
+data, _ = generate(SyntheticSpec(shape="circles", m=20000, noise=0.1, seed=0))
+clustering = spectacl(data, SpectaclConfig(r=2, d=50, seed=0))
+print(clustering.n_clusters, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_spectacl_20000_points_stays_under_one_gigabyte():
+    src = str(Path(spectacl_package.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_RUN], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    clusters, maxrss_kb = map(int, proc.stdout.split())
+    assert clusters == 2
+    assert maxrss_kb < 1024 * 1024  # ru_maxrss is in KiB on Linux
