@@ -12,16 +12,8 @@ from .graph import (
     knn_graph,
     symmetric_normalize,
 )
-from .kmeans import Clustering, KMeansResult, kmeans, labeling_inertia, trace_objective
-from .metrics import (
-    average_density_objective,
-    cut_value,
-    density,
-    f_measure,
-    hungarian,
-    nmi,
-    ratio_cut,
-)
+from .kmeans import Clustering, KMeansResult, kmeans
+from .metrics import average_density_objective, density, f_measure, hungarian, nmi
 from .pipelines import (
     DbscanConfig,
     SpectaclConfig,
@@ -48,7 +40,6 @@ __all__ = [
     "auto_epsilon",
     "average_density_objective",
     "choose_epsilon",
-    "cut_value",
     "dbscan",
     "density",
     "epsilon_graph",
@@ -58,17 +49,14 @@ __all__ = [
     "hungarian",
     "kmeans",
     "knn_graph",
-    "labeling_inertia",
     "load_edge_list",
     "load_labeled_points",
     "load_points",
     "nmi",
     "project_embedding",
     "projected_density_check",
-    "ratio_cut",
     "spectacl",
     "spectral_clustering",
     "symmetric_normalize",
-    "trace_objective",
     "truncated_eigs",
 ]

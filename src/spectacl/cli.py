@@ -158,11 +158,8 @@ def _load_input(args):
             data, labels = dataio.load_labeled_points(
                 args.infile, delimiter=args.delimiter, has_header=args.header
             )
-            classes = np.unique(labels)
-            remap = {c: i for i, c in enumerate(classes)}
-            truth = Clustering(
-                labels=np.array([remap[v] for v in labels]), n_clusters=len(classes)
-            )
+            classes, class_index = np.unique(labels, return_inverse=True)
+            truth = Clustering(labels=class_index, n_clusters=len(classes))
             return data, None, truth
         data = dataio.load_points(args.infile, delimiter=args.delimiter, has_header=args.header)
         return data, None, None
@@ -172,38 +169,36 @@ def _load_input(args):
 
 def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
                    restarts, seed):
-    """Dispatch one algorithm; returns (clustering, eval_adjacency, chosen_epsilon)."""
+    """Build one graph and cluster it; returns (clustering, graph, chosen_epsilon)."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if name != "dbscan" and r is None:
         raise UsageError(f"{name} requires -r")
-    if name == "dbscan":
-        if data is None:
-            raise UsageError("dbscan needs point data, not a graph")
-        eps = epsilon if epsilon is not None else _auto_epsilon(data, scale=1.0)
-        clustering = dbscan(data, DbscanConfig(epsilon=eps, min_pts=min_pts))
-        return clustering, epsilon_graph(data, eps), eps
     eps = None
     if data is None:
+        if name == "dbscan":
+            raise UsageError("dbscan needs point data, not a graph")
         W = adjacency
-    elif name == "spectacl":
-        eps = epsilon if epsilon is not None else _auto_epsilon(data)
+    elif name in ("spectacl", "dbscan"):
+        scale = 1.0 if name == "dbscan" else AUTO_EPSILON_SCALE
+        eps = epsilon if epsilon is not None else _auto_epsilon(data, scale)
         W = epsilon_graph(data, eps)
     else:
         W = knn_graph(data, knn)
-    if name == "sc":
+    if name == "dbscan":
+        clustering = dbscan(W, DbscanConfig(epsilon=eps, min_pts=min_pts))
+    elif name == "sc":
         clustering = spectral_clustering(W, r, k=knn, seed=seed, restarts=restarts)
-        return clustering, symmetric_normalize(W), None
-    variant = "normalized" if name == "spectacl-norm" else "unnormalized"
-    config = SpectaclConfig(
-        r=r, variant=variant, epsilon=eps, knn=knn, d=d, seed=seed, restarts=restarts
-    )
-    clustering = spectacl(W, config)
-    eval_adj = symmetric_normalize(W) if variant == "normalized" else W
-    return clustering, eval_adj, eps
+    else:
+        variant = "normalized" if name == "spectacl-norm" else "unnormalized"
+        config = SpectaclConfig(
+            r=r, variant=variant, epsilon=eps, knn=knn, d=d, seed=seed, restarts=restarts
+        )
+        clustering = spectacl(W, config)
+    return clustering, W, eps
 
 
-def _auto_epsilon(data, scale=AUTO_EPSILON_SCALE):
+def _auto_epsilon(data, scale):
     """auto_epsilon, with too few points reported as a usage error."""
     try:
         return auto_epsilon(data, scale)
@@ -218,7 +213,7 @@ def run_cluster(args) -> None:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
     epsilon = _parse_eps(args.eps)
     start = time.perf_counter()
-    clustering, eval_adj, chosen_eps = _run_algorithm(
+    clustering, graph, chosen_eps = _run_algorithm(
         algo, data, adjacency,
         r=args.r, d=args.d, knn=args.knn, min_pts=args.min_pts,
         epsilon=epsilon, restarts=args.restarts, seed=args.seed,
@@ -229,8 +224,10 @@ def run_cluster(args) -> None:
     if chosen_eps is not None:
         tag = " (auto)" if epsilon is None else ""
         fields.append(f"epsilon={chosen_eps:.6g}{tag}")
+    # sc and spectacl-norm optimize over the degree-normalized graph
+    scoring = symmetric_normalize(graph) if algo in ("sc", "spectacl-norm") else graph
     try:
-        objective = metrics.average_density_objective(clustering, eval_adj)
+        objective = metrics.average_density_objective(clustering, scoring)
         fields.append(f"objective={objective:.6g}")
     except metrics.MetricError:
         fields.append("objective=nan")

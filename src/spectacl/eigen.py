@@ -28,6 +28,8 @@ from .graph import SparseSymmetricMatrix
 DENSE_FALLBACK_DIM = 512
 # Hard cap for the dense oracle itself.
 DENSE_ORACLE_LIMIT = 2048
+# Residual tolerance, relative to max(1, |lambda_1|), that every returned pair meets.
+RESIDUAL_TOL = 1e-10
 # Internal entropy prefix for the reproducible ARPACK start vector.
 _START_SEED = 0x5EED
 
@@ -109,13 +111,13 @@ def full_dense_eigs(matrix, max_dim: int = DENSE_ORACLE_LIMIT) -> EigenPairs:
 def truncated_eigs(
     W: SparseSymmetricMatrix,
     d: int,
-    tol: float = 1e-10,
     dense_threshold: int = DENSE_FALLBACK_DIM,
 ) -> EigenPairs:
     """The d eigenpairs of largest |eigenvalue| of a symmetric matrix.
 
-    Residuals ||W v - lambda v|| are verified against tol * max(1, |lambda_1|)
-    before returning; non-convergence raises EigenSolverError.
+    Residuals ||W v - lambda v|| are verified against
+    RESIDUAL_TOL * max(1, |lambda_1|) before returning; non-convergence raises
+    EigenSolverError.
     `dense_threshold` is the size at or below which the dense path is used
     (the iterative path also requires 2*d < m: ARPACK keeps a Krylov basis of
     2*d + 1 vectors, so beyond that the dense solver is no more expensive).
@@ -133,7 +135,7 @@ def truncated_eigs(
 
     v0 = np.random.default_rng(np.random.SeedSequence([_START_SEED, m])).standard_normal(m)
     try:
-        vals, vecs = eigsh(W.matrix, k=d, which="LM", tol=tol, v0=v0)
+        vals, vecs = eigsh(W.matrix, k=d, which="LM", tol=RESIDUAL_TOL, v0=v0)
     except ArpackError as exc:
         raise EigenSolverError(f"ARPACK failed: {exc}") from exc
     order = _abs_order(vals)
@@ -142,11 +144,11 @@ def truncated_eigs(
     # columns are unit norm up to roundoff; tighten before the residual check
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     residuals = np.linalg.norm(W.matrix @ vecs - vecs * vals, axis=0)
-    bound = tol * max(1.0, float(np.abs(vals).max()))
+    bound = RESIDUAL_TOL * max(1.0, float(np.abs(vals).max()))
     worst = float(residuals.max())
     if worst > bound:
         raise EigenSolverError(
-            f"eigensolver did not reach tol={tol}: residual {worst:.3e} > {bound:.3e}",
+            f"eigensolver did not reach tol={RESIDUAL_TOL}: residual {worst:.3e} > {bound:.3e}",
             residual=worst,
         )
     return EigenPairs(vals, _fix_signs(vecs))

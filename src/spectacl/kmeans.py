@@ -58,10 +58,7 @@ class Clustering:
 
     def sizes(self) -> np.ndarray:
         """Counts per cluster id 0..n_clusters-1 (noise not included)."""
-        counts = np.zeros(self.n_clusters, dtype=np.int64)
-        for s in range(self.n_clusters):
-            counts[s] = int(np.sum(self.labels == s))
-        return counts
+        return np.bincount(self.labels[self.labels != NOISE], minlength=self.n_clusters)
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,12 @@ def kmeans(
     r: int,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iter: int = MAX_ITER,
 ) -> KMeansResult:
     """Best-of-restarts Lloyd clustering into r groups.
 
     Each restart draws a k-means++ initialization from its own spawned random
-    stream and iterates to an assignment fixpoint (or max_iter).  The result
-    with the lowest inertia wins; ties keep the earliest restart.
+    stream and iterates to an assignment fixpoint (or MAX_ITER iterations).
+    The result with the lowest inertia wins; ties keep the earliest restart.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -101,7 +97,7 @@ def kmeans(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centers = _kmeanspp_init(X, r, rng)
-        result = _lloyd(X, centers, max_iter)
+        result = _lloyd(X, centers)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
@@ -136,14 +132,14 @@ def _assign(X: np.ndarray, centers: np.ndarray):
     return labels, dist2
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansResult:
+def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
     m, r = X.shape[0], centers.shape[0]
     centers = centers.copy()
     prev_labels = None
     history = []
     iterations = 0
     labels = np.zeros(m, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         labels, dist2 = _assign(X, centers)
         labels, dist2 = _repair_empty(X, centers, labels, dist2)
@@ -190,34 +186,3 @@ def _repair_empty(X, centers, labels, dist2):
         diff = X - centers[empty]
         dist2[:, empty] = np.einsum("ij,ij->i", diff, diff)
     return labels, dist2
-
-
-def labeling_inertia(data: np.ndarray, clustering: Clustering) -> float:
-    """Within-cluster scatter of an arbitrary labeling about exact cluster means."""
-    X = np.asarray(data, dtype=np.float64)
-    total = 0.0
-    for s in range(clustering.n_clusters):
-        members = X[clustering.labels == s]
-        if members.shape[0] == 0:
-            raise ClusteringError(f"cluster {s} is empty")
-        diff = members - members.mean(axis=0)
-        total += float(np.einsum("ij,ij->", diff, diff))
-    return total
-
-
-def trace_objective(data: np.ndarray, clustering: Clustering) -> float:
-    """Between-cluster trace value: sum over clusters of |sum of rows|^2 / size.
-
-    Satisfies the identity total scatter = within-cluster scatter + trace value.
-    """
-    X = np.asarray(data, dtype=np.float64)
-    if X.shape[0] != clustering.m:
-        raise ClusteringError("data and clustering length mismatch")
-    total = 0.0
-    for s in range(clustering.n_clusters):
-        members = X[clustering.labels == s]
-        if members.shape[0] == 0:
-            raise ClusteringError(f"cluster {s} is empty")
-        colsum = members.sum(axis=0)
-        total += float(colsum @ colsum) / members.shape[0]
-    return total

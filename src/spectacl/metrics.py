@@ -1,9 +1,9 @@
 """Clustering objectives and external agreement scores.
 
 Objectives: per-cluster density (Rayleigh quotient of the membership
-indicator), the summed average-density objective, and cut / ratio-cut values
-used as cross-checks.  External scores: Hungarian-matched F-measure and
-normalized mutual information against a ground-truth labeling.
+indicator) and the summed average-density objective.  External scores:
+Hungarian-matched F-measure and normalized mutual information against a
+ground-truth labeling.
 """
 
 from __future__ import annotations
@@ -19,23 +19,6 @@ from .kmeans import NOISE, Clustering
 
 class MetricError(ValueError):
     """Invalid metric input (length mismatch, empty cluster, zero vector)."""
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Co-occurrence counts between predicted clusters (rows) and truth classes (cols)."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or np.any(counts < 0):
-            raise MetricError("contingency counts must be a nonnegative 2-d table")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -70,42 +53,15 @@ def average_density_objective(clustering: Clustering, W: SparseSymmetricMatrix) 
     return total
 
 
-def cut_value(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
-    """Sum over clusters of y'W(1-y): inter-cluster weight, counted from both sides."""
-    if clustering.m != W.dim:
-        raise MetricError("clustering and matrix dimension mismatch")
-    ones = np.ones(W.dim)
-    total = 0.0
-    for s in range(clustering.n_clusters):
-        y = clustering.indicator(s)
-        total += float(y @ W.matvec(ones - y))
-    return total
-
-
-def ratio_cut(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
-    """Cut of each cluster divided by its size, summed."""
-    if clustering.m != W.dim:
-        raise MetricError("clustering and matrix dimension mismatch")
-    ones = np.ones(W.dim)
-    total = 0.0
-    for s in range(clustering.n_clusters):
-        y = clustering.indicator(s)
-        size = float(y.sum())
-        if size == 0.0:
-            raise MetricError(f"cluster {s} is empty")
-        total += float(y @ W.matvec(ones - y)) / size
-    return total
-
-
-def contingency_table(pred: Clustering, truth: Clustering) -> ContingencyTable:
-    """Counts over non-noise predicted clusters crossed with truth classes."""
+def contingency_table(pred: Clustering, truth: Clustering) -> np.ndarray:
+    """Co-occurrence counts (int64): non-noise predicted clusters (rows) crossed
+    with truth classes (cols)."""
     if pred.m != truth.m:
         raise MetricError(f"length mismatch: {pred.m} vs {truth.m}")
     counts = np.zeros((pred.n_clusters, truth.n_clusters), dtype=np.int64)
-    for s, t in zip(pred.labels, truth.labels):
-        if s != NOISE:
-            counts[s, t] += 1
-    return ContingencyTable(counts)
+    kept = pred.labels != NOISE
+    np.add.at(counts, (pred.labels[kept], truth.labels[kept]), 1)
+    return counts
 
 
 def f_measure(pred: Clustering, truth: Clustering) -> MatchResult:
@@ -126,20 +82,13 @@ def f_measure(pred: Clustering, truth: Clustering) -> MatchResult:
     r, r_true = pred.n_clusters, truth.n_clusters
     if r == 0:
         return MatchResult(mapping={}, total_f=0.0)
-    counts = contingency_table(pred, truth).counts.astype(np.float64)
+    counts = contingency_table(pred, truth).astype(np.float64)
     pred_sizes = counts.sum(axis=1)
-    truth_sizes = np.array(
-        [np.sum(truth.labels == t) for t in range(r_true)], dtype=np.float64
-    )
-    scores = np.zeros((r, r_true))
-    for s in range(r):
-        for t in range(r_true):
-            overlap = counts[s, t]
-            if overlap == 0.0:
-                continue
-            pre = overlap / pred_sizes[s]
-            rec = overlap / truth_sizes[t]
-            scores[s, t] = 2.0 * pre * rec / (pre + rec)
+    truth_sizes = np.bincount(truth.labels, minlength=r_true).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where the overlap is 0
+        pre = counts / pred_sizes[:, None]
+        rec = counts / truth_sizes
+        scores = np.where(counts > 0, 2.0 * pre * rec / (pre + rec), 0.0)
     mapping = hungarian(scores, maximize=True)
     total = sum(scores[s, t] for s, t in mapping.items())
     return MatchResult(mapping=mapping, total_f=total / max(r, r_true))
@@ -160,8 +109,7 @@ def nmi(pred: Clustering, truth: Clustering) -> float:
     _, b = np.unique(truth.labels, return_inverse=True)
     m = pred.m
     joint = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
-    for i, j in zip(a, b):
-        joint[i, j] += 1
+    np.add.at(joint, (a, b), 1)
     pij = joint / m
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)

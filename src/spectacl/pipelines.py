@@ -4,7 +4,7 @@ spectacl: adjacency matrix -> truncated eigendecomposition by |eigenvalue| ->
 nonnegative sqrt-scaled embedding -> k-means.  The unnormalized variant builds
 an epsilon-ball graph (radius given or chosen by the 90%/10-neighbor rule);
 the normalized variant builds a symmetrized kNN graph and degree-normalizes
-it.  Both also accept a ready-made adjacency matrix for graph-native data.
+it.
 
 spectral_clustering: the classical baseline on the same kNN graph; the r
 bottom eigenvectors of the normalized Laplacian (computed as top pairs of the
@@ -20,6 +20,9 @@ this is the degree in the epsilon graph.  Clusters are the connected components
 of the core subgraph (index-based DBSCAN, Ester et al. 1996; Schubert et al.
 2017), numbered by their lowest core index; border points join their
 lowest-index core neighbor, the rest is noise.
+
+Every pipeline takes either a DataMatrix, from which it builds its own graph,
+or a ready-made SparseSymmetricMatrix, which it uses as that graph.
 """
 
 from __future__ import annotations
@@ -115,9 +118,32 @@ def auto_epsilon(data: DataMatrix, scale: float = AUTO_EPSILON_SCALE) -> float:
     return scale * choose_epsilon(data, neighbor_count=AUTO_EPSILON_NEIGHBORS)
 
 
+def _graph(data_or_graph, build) -> SparseSymmetricMatrix:
+    """A ready-made graph as is, or build(data) for point data."""
+    if isinstance(data_or_graph, SparseSymmetricMatrix):
+        return data_or_graph
+    if isinstance(data_or_graph, DataMatrix):
+        return build(data_or_graph)
+    raise PipelineError(
+        f"expected DataMatrix or SparseSymmetricMatrix, got {type(data_or_graph).__name__}"
+    )
+
+
 def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
     """Averagely-dense spectral clustering into config.r clusters (no noise label)."""
-    W = _spectacl_adjacency(data_or_graph, config)
+
+    def build(data):
+        if config.variant == "normalized":
+            return knn_graph(data, config.knn)
+        eps = config.epsilon
+        if eps is None:
+            eps = auto_epsilon(data)
+            logger.info("auto-selected epsilon=%.17g", eps)
+        return epsilon_graph(data, eps)
+
+    W = _graph(data_or_graph, build)
+    if config.variant == "normalized":
+        W = symmetric_normalize(W)
     if config.r > W.dim:
         raise PipelineError(f"r={config.r} exceeds the number of points {W.dim}")
     d = min(config.d, W.dim)
@@ -126,24 +152,6 @@ def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
     pairs = truncated_eigs(W, d)
     emb = project_embedding(pairs)
     return kmeans(emb.points, config.r, restarts=config.restarts, seed=config.seed).clustering
-
-
-def _spectacl_adjacency(data_or_graph, config: SpectaclConfig) -> SparseSymmetricMatrix:
-    if isinstance(data_or_graph, DataMatrix):
-        if config.variant == "normalized":
-            return symmetric_normalize(knn_graph(data_or_graph, config.knn))
-        eps = config.epsilon
-        if eps is None:
-            eps = auto_epsilon(data_or_graph)
-            logger.info("auto-selected epsilon=%.17g", eps)
-        return epsilon_graph(data_or_graph, eps)
-    if isinstance(data_or_graph, SparseSymmetricMatrix):
-        if config.variant == "normalized":
-            return symmetric_normalize(data_or_graph)
-        return data_or_graph
-    raise PipelineError(
-        f"expected DataMatrix or SparseSymmetricMatrix, got {type(data_or_graph).__name__}"
-    )
 
 
 def spectral_clustering(
@@ -161,14 +169,7 @@ def spectral_clustering(
     """
     if r < 2:
         raise PipelineError(f"need r >= 2, got {r}")
-    if isinstance(data_or_graph, DataMatrix):
-        W = knn_graph(data_or_graph, k)
-    elif isinstance(data_or_graph, SparseSymmetricMatrix):
-        W = data_or_graph
-    else:
-        raise PipelineError(
-            f"expected DataMatrix or SparseSymmetricMatrix, got {type(data_or_graph).__name__}"
-        )
+    W = _graph(data_or_graph, lambda data: knn_graph(data, k))
     if r > W.dim:
         raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
     shifted = symmetric_normalize(W).add_scaled_identity(1.0)
@@ -176,15 +177,15 @@ def spectral_clustering(
     return kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering
 
 
-def dbscan(data: DataMatrix, config: DbscanConfig) -> Clustering:
+def dbscan(data_or_graph, config: DbscanConfig) -> Clustering:
     """Density-based clustering with core/border/noise semantics.
 
     The epsilon ball is strict and never counts the point itself, so a core
-    point needs min_pts *other* points within the radius.
+    point needs min_pts *other* points within the radius.  A ready-made graph
+    is taken as the epsilon graph: every stored entry is a neighbor, and
+    config.epsilon only records the radius it was built with.
     """
-    if not isinstance(data, DataMatrix):
-        raise PipelineError(f"dbscan needs point data, got {type(data).__name__}")
-    W = epsilon_graph(data, config.epsilon).matrix
+    W = _graph(data_or_graph, lambda data: epsilon_graph(data, config.epsilon)).matrix
     core = np.flatnonzero(np.diff(W.indptr) >= config.min_pts)
     n_clusters, component = connected_components(W[core][:, core], directed=False)
     # number clusters by their lowest core index (scipy does not document its order)
@@ -192,7 +193,7 @@ def dbscan(data: DataMatrix, config: DbscanConfig) -> Clustering:
     rank = np.empty(n_clusters, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(n_clusters)
 
-    labels = np.full(data.m, NOISE, dtype=np.int64)
+    labels = np.full(W.shape[0], NOISE, dtype=np.int64)
     labels[core] = rank[component]
     border = W[:, core]  # columns in core order, which is index order
     border.sort_indices()

@@ -9,7 +9,8 @@ import pytest
 
 from spectacl.dataio import DataMatrix
 from spectacl.graph import SparseSymmetricMatrix
-from spectacl.kmeans import NOISE, Clustering
+from spectacl.kmeans import NOISE, Clustering, ClusteringError
+from spectacl.metrics import MetricError
 
 
 def cliques_graph(sizes):
@@ -196,6 +197,66 @@ def brute_force_assignment(scores, maximize=True):
         return sign * best_val, best_map
     val, inv = brute_force_assignment(scores.T, maximize)
     return val, {c: i for i, c in inv.items()}
+
+
+# --- objectives used only as cross-checks ---------------------------------------
+
+def cut_value(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
+    """Sum over clusters of y'W(1-y): inter-cluster weight, counted from both sides."""
+    if clustering.m != W.dim:
+        raise MetricError("clustering and matrix dimension mismatch")
+    ones = np.ones(W.dim)
+    total = 0.0
+    for s in range(clustering.n_clusters):
+        y = clustering.indicator(s)
+        total += float(y @ W.matvec(ones - y))
+    return total
+
+
+def ratio_cut(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
+    """Cut of each cluster divided by its size, summed."""
+    if clustering.m != W.dim:
+        raise MetricError("clustering and matrix dimension mismatch")
+    ones = np.ones(W.dim)
+    total = 0.0
+    for s in range(clustering.n_clusters):
+        y = clustering.indicator(s)
+        size = float(y.sum())
+        if size == 0.0:
+            raise MetricError(f"cluster {s} is empty")
+        total += float(y @ W.matvec(ones - y)) / size
+    return total
+
+
+def labeling_inertia(data: np.ndarray, clustering: Clustering) -> float:
+    """Within-cluster scatter of an arbitrary labeling about exact cluster means."""
+    X = np.asarray(data, dtype=np.float64)
+    total = 0.0
+    for s in range(clustering.n_clusters):
+        members = X[clustering.labels == s]
+        if members.shape[0] == 0:
+            raise ClusteringError(f"cluster {s} is empty")
+        diff = members - members.mean(axis=0)
+        total += float(np.einsum("ij,ij->", diff, diff))
+    return total
+
+
+def trace_objective(data: np.ndarray, clustering: Clustering) -> float:
+    """Between-cluster trace value: sum over clusters of |sum of rows|^2 / size.
+
+    Satisfies the identity total scatter = within-cluster scatter + trace value.
+    """
+    X = np.asarray(data, dtype=np.float64)
+    if X.shape[0] != clustering.m:
+        raise ClusteringError("data and clustering length mismatch")
+    total = 0.0
+    for s in range(clustering.n_clusters):
+        members = X[clustering.labels == s]
+        if members.shape[0] == 0:
+            raise ClusteringError(f"cluster {s} is empty")
+        colsum = members.sum(axis=0)
+        total += float(colsum @ colsum) / members.shape[0]
+    return total
 
 
 @pytest.fixture

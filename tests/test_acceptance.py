@@ -14,7 +14,7 @@ from spectacl.datagen import SyntheticSpec, generate
 from spectacl.eigen import full_dense_eigs, truncated_eigs
 from spectacl.embedding import projected_density_check
 from spectacl.graph import SparseSymmetricMatrix, choose_epsilon, symmetric_normalize
-from spectacl.kmeans import Clustering, kmeans, trace_objective
+from spectacl.kmeans import Clustering, kmeans
 from spectacl.metrics import average_density_objective, f_measure, hungarian
 from spectacl.pipelines import (
     DbscanConfig,
@@ -30,6 +30,7 @@ from conftest import (
     exhaustive_best_density,
     exhaustive_best_inertia,
     random_epsilon_graph,
+    trace_objective,
 )
 
 MOONS_CIRCLES_NOISE_GRID = (0.05, 0.1, 0.15)

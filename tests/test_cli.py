@@ -190,10 +190,8 @@ def test_eps_flag_rejects_garbage(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("algo, builder", [
-    ("spectacl", "epsilon_graph"), ("spectacl-norm", "knn_graph"), ("sc", "knn_graph"),
-])
-def test_single_run_builds_one_graph(monkeypatch, capsys, algo, builder):
+def count_graph_builds(monkeypatch):
+    """Counts of epsilon_graph and knn_graph calls from the CLI and the pipelines."""
     calls = {"epsilon_graph": 0, "knn_graph": 0}
     for name in calls:
         original = getattr(cli, name)
@@ -205,7 +203,27 @@ def test_single_run_builds_one_graph(monkeypatch, capsys, algo, builder):
         # the pipelines module binds the same builders; count its calls too
         monkeypatch.setattr(cli, name, counted)
         monkeypatch.setattr(pipelines, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("algo, builder", [
+    ("spectacl", "epsilon_graph"), ("spectacl-norm", "knn_graph"), ("sc", "knn_graph"),
+    ("dbscan", "epsilon_graph"),
+])
+def test_single_run_builds_one_graph(monkeypatch, capsys, algo, builder):
+    calls = count_graph_builds(monkeypatch)
     code = run_cli(["--gen", "moons", "--m", "120", "--algo", algo, "-r", "2", "-d", "8"])
     assert code == 0
     assert "objective=" in capsys.readouterr().out
     assert calls == {name: int(name == builder) for name in calls}
+
+
+def test_sweep_builds_one_graph_per_clustering(monkeypatch, tmp_path):
+    calls = count_graph_builds(monkeypatch)
+    code = run_cli([
+        "--gen", "moons", "--m", "120", "--sweep", "noise", "--values", "0.05,0.1",
+        "--repeats", "2", "--algo", "sc,dbscan", "-r", "2", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 0
+    # 2 values x 2 repeats per algorithm: sc builds kNN graphs, dbscan epsilon graphs
+    assert calls == {"epsilon_graph": 4, "knn_graph": 4}

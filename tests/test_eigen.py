@@ -185,7 +185,7 @@ def test_equal_magnitude_ties_prefer_positive():
 def test_reconstruction_at_full_rank(rng):
     A = random_symmetric(rng, 12)
     W = SparseSymmetricMatrix.from_dense(A)
-    pairs = truncated_eigs(W, 12, tol=1e-10)
+    pairs = truncated_eigs(W, 12)
     recon = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
     assert np.abs(recon - A).max() <= 12 * 1e-10
 

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectacl.kmeans import (
-    Clustering,
-    ClusteringError,
-    kmeans,
-    labeling_inertia,
-    trace_objective,
-)
+from spectacl.kmeans import Clustering, ClusteringError, kmeans
 
-from conftest import exhaustive_best_inertia
+from conftest import exhaustive_best_inertia, labeling_inertia, trace_objective
 
 
 def two_blob_points(rng, m=6, sep=5.0, sigma=0.01):

@@ -171,12 +171,6 @@ def test_dbscan_order_invariance_up_to_relabeling(rng):
         assert f_measure(sub_a, sub_b).total_f == 1.0
 
 
-def test_dbscan_rejects_graph_input():
-    W, _ = cliques_graph((3,))
-    with pytest.raises(PipelineError):
-        dbscan(W, DbscanConfig(epsilon=1.0, min_pts=2))
-
-
 def test_dbscan_config_validation():
     with pytest.raises(PipelineError):
         DbscanConfig(epsilon=0.0, min_pts=2)
@@ -194,10 +188,13 @@ def test_dbscan_config_validation():
 )
 def test_dbscan_equals_flood_fill_oracle(seed, m, kind, epsilon, min_pts):
     data = point_cloud(seed, m, kind)
-    got = dbscan(data, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
+    config = DbscanConfig(epsilon=epsilon, min_pts=min_pts)
     expect = flood_fill_dbscan(data, epsilon, min_pts)
-    assert got.n_clusters == expect.n_clusters
-    assert np.array_equal(got.labels, expect.labels)
+    # from the points, and from their ready-made epsilon graph
+    for data_or_graph in (data, epsilon_graph(data, epsilon)):
+        got = dbscan(data_or_graph, config)
+        assert got.n_clusters == expect.n_clusters
+        assert np.array_equal(got.labels, expect.labels)
 
 
 def test_auto_epsilon_needs_eleven_points():
