@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,154 +42,133 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Undirected weighted edges over nodes 0..node_count-1, stored as (j, l, w) with j < l."""
+    """Undirected weighted edges over nodes 0..node_count-1, stored canonically:
+    pairs holds the sorted, unique int64 rows (j, l) with j < l, and weights the
+    float64 sum of the weights given for each pair (either orientation, in order).
+    """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    pairs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for j, l, w in self.edges:
-            if j == l:
-                raise DataIOError(f"self-loop on node {j}")
-            if not (0 <= j < self.node_count and 0 <= l < self.node_count):
-                raise DataIOError(f"edge ({j},{l}) outside [0,{self.node_count})")
-            if not np.isfinite(w) or w < 0:
-                raise DataIOError(f"edge ({j},{l}) has bad weight {w}")
+        ends = np.asarray(self.pairs, dtype=np.int64)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        _reject_first(ends[:, 0] == ends[:, 1], ends, weights, "is a self-loop")
+        outside = np.any((ends < 0) | (ends >= self.node_count), axis=1)
+        _reject_first(outside, ends, weights, f"has a node outside [0,{self.node_count})")
+        _reject_first(weights < 0, ends, weights, "has a negative weight")
+        pairs, which = np.unique(np.sort(ends, axis=1), axis=0, return_inverse=True)
+        summed = np.bincount(which, weights=weights, minlength=len(pairs))
+        _reject_first(~np.isfinite(summed), pairs, summed, "has a non-finite weight")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weights", summed)
 
 
-def _data_lines(path, has_header):
+def _reject_first(bad, pairs, weights, problem):
+    """DataIOError naming the first flagged edge as (j,l,w), if any edge is flagged."""
+    if bad.any():
+        (j, l), w = pairs[bad][0], weights[bad][0]
+        raise DataIOError(f"edge ({j},{l},{w}) {problem}")
+
+
+def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except FileNotFoundError:
         raise DataIOError(f"missing file: {path}") from None
-    if has_header and lines:
+
+
+def _read_table(path, delimiter, has_header) -> np.ndarray:
+    """The non-blank rows of a delimited text file as a float64 matrix.
+
+    Every row must have the width of the first; errors name the row and column.
+    """
+    lines = _read_lines(path)
+    if has_header:
         lines = lines[1:]
-    return [ln for ln in lines if ln.strip()]
-
-
-def _parse_rows(lines, delimiter):
-    rows = []
-    width = None
-    for i, line in enumerate(lines, start=1):
-        fields = line.split(delimiter)
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
+    rows = [line.split(delimiter) for line in lines if line.strip()]
+    if not rows:
+        raise DataIOError(f"no rows in {path}")
+    width = len(rows[0])
+    out = np.empty((len(rows), width), dtype=np.float64)
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != width:
             raise DataIOError(f"ragged row {i}: expected {width} fields, got {len(fields)}")
-        rows.append(fields)
-    return rows
-
-
-def _parse_float(field, row, col):
-    try:
-        return float(field)
-    except ValueError:
-        raise DataIOError(f"parse error at row {row}, col {col}: {field!r}") from None
+        for j, field in enumerate(fields, start=1):
+            try:
+                out[i - 1, j - 1] = float(field)
+            except ValueError:
+                raise DataIOError(f"parse error at row {i}, col {j}: {field!r}") from None
+    return out
 
 
 def load_points(path, delimiter: str = ",", has_header: bool = False) -> DataMatrix:
     """Load an m x n point matrix from a delimited text file."""
-    lines = _data_lines(path, has_header)
-    if not lines:
-        raise DataIOError(f"no rows in {path}")
-    rows = _parse_rows(lines, delimiter)
-    out = np.empty((len(rows), len(rows[0])), dtype=np.float64)
-    for i, fields in enumerate(rows):
-        for j, field in enumerate(fields):
-            out[i, j] = _parse_float(field, i + 1, j + 1)
-    return DataMatrix(out)
+    return DataMatrix(_read_table(path, delimiter, has_header))
 
 
 def load_labeled_points(path, delimiter: str = ",", has_header: bool = False):
     """Like load_points, but the trailing column holds integer class labels.
 
-    Returns (DataMatrix, labels ndarray).
+    A label must be an integer of magnitude below 2**53, where float64 holds
+    every integer exactly.  Returns (DataMatrix, labels ndarray).
     """
-    lines = _data_lines(path, has_header)
-    if not lines:
-        raise DataIOError(f"no rows in {path}")
-    rows = _parse_rows(lines, delimiter)
-    if len(rows[0]) < 2:
+    table = _read_table(path, delimiter, has_header)
+    if table.shape[1] < 2:
         raise DataIOError("labeled file needs at least one feature column plus the label column")
-    out = np.empty((len(rows), len(rows[0]) - 1), dtype=np.float64)
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, fields in enumerate(rows):
-        for j, field in enumerate(fields[:-1]):
-            out[i, j] = _parse_float(field, i + 1, j + 1)
-        try:
-            labels[i] = int(float(fields[-1]))
-        except ValueError:
-            raise DataIOError(
-                f"parse error at row {i + 1}, col {len(fields)}: {fields[-1]!r}"
-            ) from None
-    return DataMatrix(out), labels
+    labels = table[:, -1]
+    bad = ~(np.abs(labels) < 2.0**53) | (labels != np.round(labels))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataIOError(f"row {row + 1}: label {labels[row]} is not an integer in (-2**53, 2**53)")
+    return DataMatrix(table[:, :-1]), labels.astype(np.int64)
 
 
 def load_edge_list(path) -> EdgeList:
     """Load a whitespace-separated "j l [w]" edge list; '#' lines are comments.
 
     Duplicate mentions of the same node pair (either orientation) sum their
-    weights; a missing weight counts as 1.
+    weights in file order; a missing weight counts as 1.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise DataIOError(f"missing file: {path}") from None
-    acc: dict[tuple[int, int], float] = {}
-    max_node = -1
-    for i, line in enumerate(lines, start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
+    ends, weights = [], []
+    for i, line in enumerate(_read_lines(path), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = s.split()
         if len(parts) not in (2, 3):
             raise DataIOError(f"line {i}: expected 'j l [w]', got {line!r}")
         try:
-            j, l = int(parts[0]), int(parts[1])
+            ends.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise DataIOError(f"line {i}: non-integer node index in {line!r}") from None
-        if j == l:
-            raise DataIOError(f"line {i}: self-loop on node {j}")
-        if j < 0 or l < 0:
-            raise DataIOError(f"line {i}: negative node index in {line!r}")
-        w = 1.0
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise DataIOError(f"line {i}: bad weight in {line!r}") from None
-        if not np.isfinite(w) or w < 0:
-            raise DataIOError(f"line {i}: negative or non-finite weight {w}")
-        key = (min(j, l), max(j, l))
-        acc[key] = acc.get(key, 0.0) + w
-        max_node = max(max_node, j, l)
-    edges = tuple((j, l, w) for (j, l), w in sorted(acc.items()))
-    return EdgeList(node_count=max_node + 1, edges=edges)
+        try:
+            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+        except ValueError:
+            raise DataIOError(f"line {i}: bad weight in {line!r}") from None
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
 
 
 def write_clustering(path, clustering) -> None:
     """Write one "index,label" line per point after a header; noise is -1."""
-    lines = ["point,label"]
-    for i, lab in enumerate(clustering.labels):
-        lines.append(f"{i},{int(lab)}")
-    _write_lines(path, lines)
+    table = np.column_stack([np.arange(clustering.m), clustering.labels])
+    with _output(path) as fh:
+        np.savetxt(fh, table, fmt="%d", delimiter=",", header="point,label", comments="")
 
 
 def write_points(path, data: DataMatrix, labels=None) -> None:
     """Write points as CSV (17 significant digits), optionally with a label column."""
-    header = ",".join(f"x{j}" for j in range(data.n))
+    header = [f"x{j}" for j in range(data.n)]
+    fmt = [FLOAT_FORMAT] * data.n
+    table = data.values
     if labels is not None:
-        header += ",label"
-    lines = [header]
-    for i in range(data.m):
-        fields = [FLOAT_FORMAT % v for v in data.values[i]]
-        if labels is not None:
-            fields.append(str(int(labels[i])))
-        lines.append(",".join(fields))
-    _write_lines(path, lines)
+        header.append("label")
+        fmt.append("%d")
+        table = np.column_stack([table, labels])
+    with _output(path) as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
 
 
 def write_csv_table(path, header, rows) -> None:
@@ -202,12 +182,15 @@ def write_csv_table(path, header, rows) -> None:
             else:
                 fields.append(str(v))
         lines.append(",".join(fields))
-    _write_lines(path, lines)
+    with _output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _write_lines(path, lines):
+@contextmanager
+def _output(path):
+    """A text file opened for writing; OSError becomes DataIOError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            yield fh
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from None

@@ -200,13 +200,10 @@ def adjacency_from_edge_list(edges: EdgeList) -> SparseSymmetricMatrix:
     """Symmetric weighted adjacency from an undirected edge list."""
     if edges.node_count < 1:
         raise GraphError("edge list has no nodes")
-    rows, cols, vals = [], [], []
-    for j, l, w in edges.edges:
-        rows.extend((j, l))
-        cols.extend((l, j))
-        vals.extend((w, w))
+    j, l = edges.pairs.T
     mat = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)),
+        (np.concatenate([edges.weights, edges.weights]),
+         (np.concatenate([j, l]), np.concatenate([l, j]))),
         shape=(edges.node_count, edges.node_count),
     )
     return SparseSymmetricMatrix(mat)

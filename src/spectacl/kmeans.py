@@ -103,13 +103,19 @@ def kmeans(
     return best
 
 
+def _sq_dist(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of X to the point c."""
+    diff = X - c
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: subsequent centers drawn proportional to squared distance."""
     m = X.shape[0]
     first = int(rng.integers(m))
     centers = np.empty((r, X.shape[1]), dtype=np.float64)
     centers[0] = X[first]
-    d2 = np.einsum("ij,ij->i", X - centers[0], X - centers[0])
+    d2 = _sq_dist(X, centers[0])
     for i in range(1, r):
         total = float(d2.sum())
         if total <= 0.0:
@@ -117,38 +123,30 @@ def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(m, p=d2 / total))
         centers[i] = X[idx]
-        cand = np.einsum("ij,ij->i", X - centers[i], X - centers[i])
-        d2 = np.minimum(d2, cand)
+        d2 = np.minimum(d2, _sq_dist(X, centers[i]))
     return centers
 
 
 def _assign(X: np.ndarray, centers: np.ndarray):
-    m, r = X.shape[0], centers.shape[0]
-    dist2 = np.empty((m, r), dtype=np.float64)
-    for i in range(r):
-        diff = X - centers[i]
-        dist2[:, i] = np.einsum("ij,ij->i", diff, diff)
+    """Nearest centroid of every point and its squared distance to it."""
+    dist2 = np.column_stack([_sq_dist(X, c) for c in centers])
     labels = np.argmin(dist2, axis=1)  # argmin takes the first minimum: lowest index wins ties
-    return labels, dist2
+    return labels, dist2[np.arange(X.shape[0]), labels]
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
-    m, r = X.shape[0], centers.shape[0]
+    r = centers.shape[0]
     centers = centers.copy()
     prev_labels = None
     history = []
-    iterations = 0
-    labels = np.zeros(m, dtype=np.int64)
     for _ in range(MAX_ITER):
-        iterations += 1
-        labels, dist2 = _assign(X, centers)
-        labels, dist2 = _repair_empty(X, centers, labels, dist2)
+        labels, cost = _assign(X, centers)
+        labels = _repair_empty(X, centers, labels, cost)
+        inertia = 0.0
         for i in range(r):
             members = X[labels == i]
             centers[i] = members.mean(axis=0)
-        inertia = 0.0
-        for i in range(r):
-            diff = X[labels == i] - centers[i]
+            diff = members - centers[i]
             inertia += float(np.einsum("ij,ij->", diff, diff))
         history.append(inertia)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
@@ -158,31 +156,29 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
         clustering=Clustering(labels=labels, n_clusters=r),
         centroids=centers,
         inertia=history[-1],
-        iterations=iterations,
+        iterations=len(history),
         inertia_history=tuple(history),
     )
 
 
-def _repair_empty(X, centers, labels, dist2):
+def _repair_empty(X, centers, labels, cost):
     """Reseed each empty centroid at the point farthest from its assigned centroid.
 
-    The moved point's cost drops to zero and nobody else moves, so the Lloyd
-    objective stays non-increasing through repairs.
+    cost holds each point's squared distance to its centroid.  The moved point's
+    cost drops to zero and nobody else moves, so the Lloyd objective stays
+    non-increasing through repairs.
     """
-    r = centers.shape[0]
-    counts = np.bincount(labels, minlength=r)
+    counts = np.bincount(labels, minlength=centers.shape[0])
     while np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
-        cost = dist2[np.arange(len(labels)), labels].copy()
         # a point alone in its cluster cannot move without emptying it
-        cost[counts[labels] <= 1] = -np.inf
-        pick = int(np.argmax(cost))
-        if cost[pick] == -np.inf:
+        movable = np.where(counts[labels] > 1, cost, -np.inf)
+        pick = int(np.argmax(movable))
+        if movable[pick] == -np.inf:
             raise ClusteringError("cannot repair empty cluster: too few distinct points")
         counts[labels[pick]] -= 1
         labels[pick] = empty
         counts[empty] = 1
         centers[empty] = X[pick]
-        diff = X - centers[empty]
-        dist2[:, empty] = np.einsum("ij,ij->i", diff, diff)
-    return labels, dist2
+        cost[pick] = 0.0
+    return labels

@@ -129,6 +129,17 @@ def _graph(data_or_graph, build) -> SparseSymmetricMatrix:
     )
 
 
+def _warn_isolated(W: SparseSymmetricMatrix) -> None:
+    """Warn when some points have degree zero: the graph does not place them."""
+    isolated = int(np.count_nonzero(W.degrees() == 0))
+    if isolated:
+        warnings.warn(
+            f"{isolated} of {W.dim} points have no neighbors in the graph, "
+            "so their cluster labels are arbitrary",
+            stacklevel=3,
+        )
+
+
 def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
     """Averagely-dense spectral clustering into config.r clusters (no noise label)."""
 
@@ -146,6 +157,7 @@ def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
         W = symmetric_normalize(W)
     if config.r > W.dim:
         raise PipelineError(f"r={config.r} exceeds the number of points {W.dim}")
+    _warn_isolated(W)
     d = min(config.d, W.dim)
     if d < config.d:
         logger.info("clamping embedding dimension to the point count: d=%d", d)
@@ -172,6 +184,7 @@ def spectral_clustering(
     W = _graph(data_or_graph, lambda data: knn_graph(data, k))
     if r > W.dim:
         raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
+    _warn_isolated(W)
     shifted = symmetric_normalize(W).add_scaled_identity(1.0)
     pairs = truncated_eigs(shifted, r)
     return kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spectacl.dataio import (
     DataIOError,
     DataMatrix,
+    EdgeList,
     load_edge_list,
     load_labeled_points,
     load_points,
@@ -64,19 +65,30 @@ def test_load_labeled_points(tmp_path):
     assert labels.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("label", ["2.7", "inf", "1e30"])
+def test_load_labeled_points_rejects_non_integer_label(tmp_path, label):
+    p = tmp_path / "pts.csv"
+    p.write_text(f"0.5,1\n1.5,{label}\n")
+    with pytest.raises(DataIOError, match="row 2: label"):
+        load_labeled_points(p)
+
+
 def test_edge_list_basic(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1\n1 2\n")
     el = load_edge_list(p)
     assert el.node_count == 3
-    assert el.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert el.pairs.dtype == np.int64 and el.weights.dtype == np.float64
+    assert el.pairs.tolist() == [[0, 1], [1, 2]]
+    assert el.weights.tolist() == [1.0, 1.0]
 
 
 def test_edge_list_duplicates_sum(tmp_path):
     p = tmp_path / "g.txt"
-    p.write_text("0 1 0.5\n0 1 0.5\n")
+    p.write_text("0 1 0.5\n0 1 0.5\n1 0 0.5\n")
     el = load_edge_list(p)
-    assert el.edges == ((0, 1, 1.0),)
+    assert el.pairs.tolist() == [[0, 1]]
+    assert el.weights.tolist() == [1.5]
 
 
 def test_edge_list_self_loop(tmp_path):
@@ -98,21 +110,41 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
     p.write_text("# header comment\n\n0 3 2.0\n")
     el = load_edge_list(p)
     assert el.node_count == 4
-    assert el.edges == ((0, 3, 2.0),)
+    assert el.pairs.tolist() == [[0, 3]]
+    assert el.weights.tolist() == [2.0]
 
 
 def test_edge_list_matches_line_accumulation(tmp_path, rng):
     lines = []
     acc = {}
     for _ in range(60):
-        j, l = sorted(rng.choice(8, size=2, replace=False).tolist())
+        j, l = rng.choice(8, size=2, replace=False).tolist()
         w = float(np.round(rng.uniform(0.1, 2.0), 3))
         lines.append(f"{j} {l} {w}")
-        acc[(j, l)] = acc.get((j, l), 0.0) + w
+        key = (min(j, l), max(j, l))
+        acc[key] = acc.get(key, 0.0) + w
     p = tmp_path / "g.txt"
     p.write_text("\n".join(lines) + "\n")
     el = load_edge_list(p)
-    assert dict(((j, l), w) for j, l, w in el.edges) == pytest.approx(acc)
+    assert [tuple(pair) for pair in el.pairs.tolist()] == sorted(acc)
+    # sums in file order, exactly as the line-by-line accumulation
+    assert dict(zip(map(tuple, el.pairs.tolist()), el.weights.tolist())) == acc
+
+
+@pytest.mark.parametrize(
+    "pairs, weights, match",
+    [
+        ([[0, 1], [2, 2]], [1.0, 1.0], r"edge \(2,2,1.0\) is a self-loop"),
+        ([[0, 1], [1, 3]], [1.0, 1.0], r"edge \(1,3,1.0\) has a node outside \[0,3\)"),
+        ([[0, 1], [-1, 2]], [1.0, 1.0], r"edge \(-1,2,1.0\) has a node outside"),
+        ([[0, 1], [1, 0]], [-2.0, 3.0], r"edge \(0,1,-2.0\) has a negative weight"),
+        ([[0, 1], [1, 2]], [1.0, np.nan], r"edge \(1,2,nan\) has a non-finite weight"),
+        ([[0, 1], [1, 0]], [1e308, 1e308], r"edge \(0,1,inf\) has a non-finite weight"),
+    ],
+)
+def test_edge_list_rejects(pairs, weights, match):
+    with pytest.raises(DataIOError, match=match):
+        EdgeList(node_count=3, pairs=pairs, weights=weights)
 
 
 def test_write_clustering_rows(tmp_path):

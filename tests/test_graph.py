@@ -17,7 +17,7 @@ from spectacl.graph import (
     kth_neighbor_distances,
     symmetric_normalize,
 )
-from spectacl.dataio import EdgeList
+from spectacl.dataio import EdgeList, load_edge_list
 
 from conftest import (
     dense_epsilon_graph,
@@ -255,9 +255,17 @@ def test_choose_epsilon_rejects_large_neighbor_count():
 
 
 def test_adjacency_from_edge_list():
-    el = EdgeList(node_count=3, edges=((0, 1, 2.0), (1, 2, 0.5)))
+    el = EdgeList(node_count=3, pairs=[[0, 1], [2, 1]], weights=[2.0, 0.5])
+    assert el.pairs.tolist() == [[0, 1], [1, 2]]
     W = adjacency_from_edge_list(el).to_dense()
     assert np.array_equal(W, [[0, 2.0, 0], [2.0, 0, 0.5], [0, 0.5, 0]])
+
+
+def test_comment_only_edge_list_has_no_nodes(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("# no edges\n\n")
+    with pytest.raises(GraphError, match="edge list has no nodes"):
+        adjacency_from_edge_list(load_edge_list(p))
 
 
 def test_sparse_matrix_rejects_asymmetry():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,23 @@ def test_spectacl_rejects_bad_inputs():
         tight = SpectaclConfig(r=4, d=2)
     with pytest.raises(PipelineError, match="exceeds"):
         spectacl(W, tight)
+
+
+def test_isolated_points_warn_without_changing_labels():
+    data = DataMatrix(np.random.default_rng(0).uniform(size=(600, 2)))
+    with pytest.warns(UserWarning, match="600 of 600 points have no neighbors"):
+        cl = spectacl(data, SpectaclConfig(r=2, epsilon=1e-6))
+    assert sorted(cl.sizes()) == [1, 599]
+    with pytest.warns(UserWarning, match="600 of 600 points have no neighbors"):
+        spectral_clustering(SparseSymmetricMatrix.from_dense(np.zeros((600, 600))), 2)
+
+
+def test_connected_graph_does_not_warn():
+    W, _ = cliques_graph((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectacl(W, SpectaclConfig(r=2, d=2))
+        spectral_clustering(W, 2)
 
 
 def test_spectral_clustering_separated_blobs():
