@@ -12,7 +12,6 @@ from spectacl import (
     SpectaclConfig,
     DbscanConfig,
     SyntheticSpec,
-    choose_epsilon,
     dbscan,
     f_measure,
     generate,
@@ -35,16 +34,15 @@ def main():
     data, truth = generate(
         SyntheticSpec(shape="circles", m=args.m, noise=args.noise, seed=args.seed)
     )
-    raw_eps = choose_epsilon(data)
-
     runs = {
         "spectacl": lambda: spectacl(data, SpectaclConfig(r=2, d=50, seed=0)),
         "spectacl_normalized": lambda: spectacl(
             data, SpectaclConfig(r=2, variant="normalized", d=50, seed=0)
         ),
         "spectral_clustering": lambda: spectral_clustering(data, 2, k=10, seed=0),
-        "dbscan_minpts25": lambda: dbscan(data, DbscanConfig(epsilon=raw_eps, min_pts=25)),
-        "dbscan_minpts26": lambda: dbscan(data, DbscanConfig(epsilon=raw_eps, min_pts=26)),
+        # DBSCAN on the raw coverage-quantile radius, its default
+        "dbscan_minpts25": lambda: dbscan(data, DbscanConfig(min_pts=25)),
+        "dbscan_minpts26": lambda: dbscan(data, DbscanConfig(min_pts=26)),
     }
     for name, run in runs.items():
         clustering = run()

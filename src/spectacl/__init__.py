@@ -2,8 +2,8 @@
 
 from .dataio import DataMatrix, EdgeList, load_edge_list, load_labeled_points, load_points
 from .datagen import SyntheticSpec, generate
-from .eigen import EigenPairs, full_dense_eigs, truncated_eigs
-from .embedding import Embedding, project_embedding, projected_density_check
+from .eigen import EigenPairs, truncated_eigs
+from .embedding import Embedding, project_embedding
 from .graph import (
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
@@ -44,7 +44,6 @@ __all__ = [
     "density",
     "epsilon_graph",
     "f_measure",
-    "full_dense_eigs",
     "generate",
     "hungarian",
     "kmeans",
@@ -54,7 +53,6 @@ __all__ = [
     "load_points",
     "nmi",
     "project_embedding",
-    "projected_density_check",
     "spectacl",
     "spectral_clustering",
     "symmetric_normalize",

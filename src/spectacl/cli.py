@@ -1,6 +1,9 @@
 """Command-line harness: single clustering runs and parameter/noise sweeps.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+The pipelines build the graph and report it with its radius; the CLI only
+dispatches to them and scores the objective on the graph they return.
+
+Exit codes: 0 success, 1 runtime failure, 2 usage error or invalid parameters.
 """
 
 from __future__ import annotations
@@ -14,20 +17,12 @@ import numpy as np
 
 from . import dataio, metrics, svg
 from .datagen import SHAPES, SyntheticSpec, generate
-from .graph import (
-    SparseSymmetricMatrix,
-    adjacency_from_edge_list,
-    epsilon_graph,
-    knn_graph,
-    symmetric_normalize,
-)
+from .graph import adjacency_from_edge_list
 from .kmeans import Clustering
 from .pipelines import (
-    AUTO_EPSILON_SCALE,
     DbscanConfig,
     PipelineError,
     SpectaclConfig,
-    auto_epsilon,
     dbscan,
     spectacl,
     spectral_clustering,
@@ -123,7 +118,7 @@ def main(argv=None) -> int:
             run_sweep(build_sweep_spec(args), out=args.out, plot=args.plot)
         else:
             run_cluster(args)
-    except UsageError as exc:
+    except (UsageError, PipelineError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -169,41 +164,23 @@ def _load_input(args):
 
 def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
                    restarts, seed):
-    """Build one graph and cluster it; returns (clustering, graph, chosen_epsilon)."""
+    """The PipelineResult of the named algorithm on the points, else on the graph."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if name != "dbscan" and r is None:
         raise UsageError(f"{name} requires -r")
-    eps = None
-    if data is None:
-        if name == "dbscan":
-            raise UsageError("dbscan needs point data, not a graph")
-        W = adjacency
-    elif name in ("spectacl", "dbscan"):
-        scale = 1.0 if name == "dbscan" else AUTO_EPSILON_SCALE
-        eps = epsilon if epsilon is not None else _auto_epsilon(data, scale)
-        W = epsilon_graph(data, eps)
-    else:
-        W = knn_graph(data, knn)
     if name == "dbscan":
-        clustering = dbscan(W, DbscanConfig(epsilon=eps, min_pts=min_pts))
-    elif name == "sc":
-        clustering = spectral_clustering(W, r, k=knn, seed=seed, restarts=restarts)
-    else:
-        variant = "normalized" if name == "spectacl-norm" else "unnormalized"
-        config = SpectaclConfig(
-            r=r, variant=variant, epsilon=eps, knn=knn, d=d, seed=seed, restarts=restarts
-        )
-        clustering = spectacl(W, config)
-    return clustering, W, eps
-
-
-def _auto_epsilon(data, scale):
-    """auto_epsilon, with too few points reported as a usage error."""
-    try:
-        return auto_epsilon(data, scale)
-    except PipelineError as exc:
-        raise UsageError(str(exc)) from None
+        if data is None:
+            raise UsageError("dbscan needs point data, not a graph")
+        return dbscan(data, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
+    source = adjacency if data is None else data
+    if name == "sc":
+        return spectral_clustering(source, r, k=knn, seed=seed, restarts=restarts)
+    variant = "normalized" if name == "spectacl-norm" else "unnormalized"
+    config = SpectaclConfig(
+        r=r, variant=variant, epsilon=epsilon, knn=knn, d=d, seed=seed, restarts=restarts
+    )
+    return spectacl(source, config)
 
 
 def run_cluster(args) -> None:
@@ -213,7 +190,7 @@ def run_cluster(args) -> None:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
     epsilon = _parse_eps(args.eps)
     start = time.perf_counter()
-    clustering, graph, chosen_eps = _run_algorithm(
+    clustering = _run_algorithm(
         algo, data, adjacency,
         r=args.r, d=args.d, knn=args.knn, min_pts=args.min_pts,
         epsilon=epsilon, restarts=args.restarts, seed=args.seed,
@@ -221,13 +198,11 @@ def run_cluster(args) -> None:
     runtime_ms = (time.perf_counter() - start) * 1000.0
 
     fields = [f"algorithm={algo}", f"m={clustering.m}", f"clusters={clustering.n_clusters}"]
-    if chosen_eps is not None:
+    if clustering.epsilon is not None:
         tag = " (auto)" if epsilon is None else ""
-        fields.append(f"epsilon={chosen_eps:.6g}{tag}")
-    # sc and spectacl-norm optimize over the degree-normalized graph
-    scoring = symmetric_normalize(graph) if algo in ("sc", "spectacl-norm") else graph
+        fields.append(f"epsilon={clustering.epsilon:.6g}{tag}")
     try:
-        objective = metrics.average_density_objective(clustering, scoring)
+        objective = metrics.average_density_objective(clustering, clustering.graph)
         fields.append(f"objective={objective:.6g}")
     except metrics.MetricError:
         fields.append("objective=nan")
@@ -308,7 +283,7 @@ def sweep_rows(spec: SweepSpec):
                 knn = value if spec.axis == "k" else spec.knn
                 eps = value if spec.axis == "epsilon" else spec.epsilon
                 start = time.perf_counter()
-                clustering, _, _ = _run_algorithm(
+                clustering = _run_algorithm(
                     algo, data, None,
                     r=spec.r, d=d, knn=knn, min_pts=spec.min_pts,
                     epsilon=eps, restarts=spec.restarts, seed=spec.seed,

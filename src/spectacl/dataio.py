@@ -78,6 +78,8 @@ def _read_lines(path):
             return fh.read().splitlines()
     except FileNotFoundError:
         raise DataIOError(f"missing file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from None
 
 
 def _read_table(path, delimiter, has_header) -> np.ndarray:

@@ -24,10 +24,9 @@ from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graph import SparseSymmetricMatrix
 
-# m at or below which truncated_eigs just calls the dense solver.
+# m at or below which truncated_eigs just calls the dense solver; read at
+# call time, so setting it to 0 forces the iterative path.
 DENSE_FALLBACK_DIM = 512
-# Hard cap for the dense oracle itself.
-DENSE_ORACLE_LIMIT = 2048
 # Residual tolerance, relative to max(1, |lambda_1|), that every returned pair meets.
 RESIDUAL_TOL = 1e-10
 # Internal entropy prefix for the reproducible ARPACK start vector.
@@ -91,41 +90,20 @@ def _dense_pairs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], V[:, order]
 
 
-def full_dense_eigs(matrix, max_dim: int = DENSE_ORACLE_LIMIT) -> EigenPairs:
-    """All eigenpairs of a dense symmetric matrix, sorted by |eigenvalue|.
-
-    Serves as the small-problem path and as the reference the iterative solver
-    is tested against.
-    """
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise EigenSolverError(f"matrix is not square: {A.shape}")
-    if not np.array_equal(A, A.T):
-        raise EigenSolverError("matrix is not symmetric")
-    if A.shape[0] > max_dim:
-        raise EigenSolverError(f"dense solver limited to m <= {max_dim}, got {A.shape[0]}")
-    w, V = _dense_pairs(A)
-    return EigenPairs(w, _fix_signs(V))
-
-
-def truncated_eigs(
-    W: SparseSymmetricMatrix,
-    d: int,
-    dense_threshold: int = DENSE_FALLBACK_DIM,
-) -> EigenPairs:
+def truncated_eigs(W: SparseSymmetricMatrix, d: int) -> EigenPairs:
     """The d eigenpairs of largest |eigenvalue| of a symmetric matrix.
 
     Residuals ||W v - lambda v|| are verified against
     RESIDUAL_TOL * max(1, |lambda_1|) before returning; non-convergence raises
     EigenSolverError.
-    `dense_threshold` is the size at or below which the dense path is used
-    (the iterative path also requires 2*d < m: ARPACK keeps a Krylov basis of
-    2*d + 1 vectors, so beyond that the dense solver is no more expensive).
+    The dense path is used for m <= DENSE_FALLBACK_DIM and whenever 2*d >= m:
+    ARPACK keeps a Krylov basis of 2*d + 1 vectors, so beyond that the dense
+    solver is no more expensive.
     """
     m = W.dim
     if not 1 <= d <= m:
         raise EigenSolverError(f"need 1 <= d <= m, got d={d}, m={m}")
-    if m <= dense_threshold or 2 * d >= m:
+    if m <= DENSE_FALLBACK_DIM or 2 * d >= m:
         vals, vecs = _dense_pairs(W.to_dense())
         return EigenPairs(vals[:d], _fix_signs(vecs[:, :d]))
     if W.nnz == 0:

@@ -4,7 +4,6 @@ sqrt(|eigenvalue|).
 Taking entrywise absolute values of an eigenvector cannot lower its Rayleigh
 quotient below |eigenvalue| when the matrix is entrywise nonnegative, so each
 embedding column is a fuzzy indicator of a subgraph at least that dense.
-`projected_density_check` exposes that bound for direct verification.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import EigenPairs
-from .graph import SparseSymmetricMatrix
 
 # |eigenvalue| below this produces an exactly-zero column instead of a noise
 # column scaled by sqrt(tiny); keeps downstream shapes stable at width d.
@@ -47,22 +45,3 @@ def project_embedding(pairs: EigenPairs) -> Embedding:
     U[:, np.abs(pairs.values) < ZERO_EIGENVALUE_CUTOFF] = 0.0
     return Embedding(U)
 
-
-def projected_density_check(
-    W: SparseSymmetricMatrix, pairs: EigenPairs
-) -> list[tuple[float, float]]:
-    """Per eigenpair, (|lambda|, Rayleigh quotient of the absolute eigenvector).
-
-    For nonnegative W every returned pair satisfies density >= |lambda| (up to
-    roundoff); callers assert that bound.
-    """
-    if W.dim != pairs.vectors.shape[0]:
-        raise EmbeddingError(
-            f"dimension mismatch: W is {W.dim}, eigenvectors have {pairs.vectors.shape[0]} rows"
-        )
-    out = []
-    for i in range(pairs.d):
-        u = np.abs(pairs.vectors[:, i])
-        delta = float(u @ W.matvec(u)) / float(u @ u)
-        out.append((float(abs(pairs.values[i])), delta))
-    return out

@@ -64,10 +64,6 @@ class SparseSymmetricMatrix:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    @classmethod
-    def from_dense(cls, arr) -> "SparseSymmetricMatrix":
-        return cls(sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -22,12 +22,12 @@ of the core subgraph (index-based DBSCAN, Ester et al. 1996; Schubert et al.
 lowest-index core neighbor, the rest is noise.
 
 Every pipeline takes either a DataMatrix, from which it builds its own graph,
-or a ready-made SparseSymmetricMatrix, which it uses as that graph.
+or a ready-made SparseSymmetricMatrix, which it uses as that graph.  It
+returns a PipelineResult, which carries that graph and its radius for callers.
 """
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -45,8 +45,6 @@ from .graph import (
     symmetric_normalize,
 )
 from .kmeans import DEFAULT_RESTARTS, NOISE, Clustering, kmeans
-
-logger = logging.getLogger(__name__)
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -94,11 +92,11 @@ class SpectaclConfig:
 
 @dataclass(frozen=True)
 class DbscanConfig:
-    epsilon: float
+    epsilon: float | None = None  # None: the raw coverage quantile, auto_epsilon(data, 1.0)
     min_pts: int = 10
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+        if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise PipelineError(f"epsilon must be positive, got {self.epsilon}")
         if self.min_pts < 1:
             raise PipelineError(f"need min_pts >= 1, got {self.min_pts}")
@@ -118,15 +116,32 @@ def auto_epsilon(data: DataMatrix, scale: float = AUTO_EPSILON_SCALE) -> float:
     return scale * choose_epsilon(data, neighbor_count=AUTO_EPSILON_NEIGHBORS)
 
 
-def _graph(data_or_graph, build) -> SparseSymmetricMatrix:
-    """A ready-made graph as is, or build(data) for point data."""
+@dataclass(frozen=True)
+class PipelineResult(Clustering):
+    """A clustering; graph is the matrix whose average-density objective it
+    optimizes (degree-normalized for spectral_clustering and the normalized
+    spectacl), epsilon the radius of the epsilon graph built, else None."""
+
+    graph: SparseSymmetricMatrix
+    epsilon: float | None
+
+
+def _graph(data_or_graph, build) -> tuple[SparseSymmetricMatrix, float | None]:
+    """(graph, radius): a ready-made graph as is, or build(data) for point data."""
     if isinstance(data_or_graph, SparseSymmetricMatrix):
-        return data_or_graph
+        return data_or_graph, None
     if isinstance(data_or_graph, DataMatrix):
         return build(data_or_graph)
     raise PipelineError(
         f"expected DataMatrix or SparseSymmetricMatrix, got {type(data_or_graph).__name__}"
     )
+
+
+def _ball_graph(data: DataMatrix, epsilon: float | None, scale: float):
+    """(epsilon graph, radius); a radius of None is auto_epsilon(data, scale)."""
+    if epsilon is None:
+        epsilon = auto_epsilon(data, scale)
+    return epsilon_graph(data, epsilon), epsilon
 
 
 def _warn_isolated(W: SparseSymmetricMatrix) -> None:
@@ -140,30 +155,24 @@ def _warn_isolated(W: SparseSymmetricMatrix) -> None:
         )
 
 
-def spectacl(data_or_graph, config: SpectaclConfig) -> Clustering:
+def spectacl(data_or_graph, config: SpectaclConfig) -> PipelineResult:
     """Averagely-dense spectral clustering into config.r clusters (no noise label)."""
 
     def build(data):
         if config.variant == "normalized":
-            return knn_graph(data, config.knn)
-        eps = config.epsilon
-        if eps is None:
-            eps = auto_epsilon(data)
-            logger.info("auto-selected epsilon=%.17g", eps)
-        return epsilon_graph(data, eps)
+            return knn_graph(data, config.knn), None
+        return _ball_graph(data, config.epsilon, AUTO_EPSILON_SCALE)
 
-    W = _graph(data_or_graph, build)
+    W, epsilon = _graph(data_or_graph, build)
     if config.variant == "normalized":
         W = symmetric_normalize(W)
     if config.r > W.dim:
         raise PipelineError(f"r={config.r} exceeds the number of points {W.dim}")
     _warn_isolated(W)
-    d = min(config.d, W.dim)
-    if d < config.d:
-        logger.info("clamping embedding dimension to the point count: d=%d", d)
-    pairs = truncated_eigs(W, d)
+    pairs = truncated_eigs(W, min(config.d, W.dim))
     emb = project_embedding(pairs)
-    return kmeans(emb.points, config.r, restarts=config.restarts, seed=config.seed).clustering
+    clustering = kmeans(emb.points, config.r, restarts=config.restarts, seed=config.seed).clustering
+    return PipelineResult(clustering.labels, clustering.n_clusters, W, epsilon)
 
 
 def spectral_clustering(
@@ -172,7 +181,7 @@ def spectral_clustering(
     k: int = 10,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-) -> Clustering:
+) -> PipelineResult:
     """Normalized-Laplacian spectral clustering baseline.
 
     Eigenvectors for the r smallest Laplacian eigenvalues come from the top of
@@ -181,24 +190,26 @@ def spectral_clustering(
     """
     if r < 2:
         raise PipelineError(f"need r >= 2, got {r}")
-    W = _graph(data_or_graph, lambda data: knn_graph(data, k))
+    W, _ = _graph(data_or_graph, lambda data: (knn_graph(data, k), None))
     if r > W.dim:
         raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
     _warn_isolated(W)
-    shifted = symmetric_normalize(W).add_scaled_identity(1.0)
-    pairs = truncated_eigs(shifted, r)
-    return kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering
+    normalized = symmetric_normalize(W)
+    pairs = truncated_eigs(normalized.add_scaled_identity(1.0), r)
+    clustering = kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering
+    return PipelineResult(clustering.labels, clustering.n_clusters, normalized, None)
 
 
-def dbscan(data_or_graph, config: DbscanConfig) -> Clustering:
+def dbscan(data_or_graph, config: DbscanConfig) -> PipelineResult:
     """Density-based clustering with core/border/noise semantics.
 
     The epsilon ball is strict and never counts the point itself, so a core
     point needs min_pts *other* points within the radius.  A ready-made graph
     is taken as the epsilon graph: every stored entry is a neighbor, and
-    config.epsilon only records the radius it was built with.
+    config.epsilon is not used.
     """
-    W = _graph(data_or_graph, lambda data: epsilon_graph(data, config.epsilon)).matrix
+    graph, epsilon = _graph(data_or_graph, lambda data: _ball_graph(data, config.epsilon, 1.0))
+    W = graph.matrix
     core = np.flatnonzero(np.diff(W.indptr) >= config.min_pts)
     n_clusters, component = connected_components(W[core][:, core], directed=False)
     # number clusters by their lowest core index (scipy does not document its order)
@@ -214,4 +225,4 @@ def dbscan(data_or_graph, config: DbscanConfig) -> Clustering:
     reach[core] = False
     first_core = border.indices[border.indptr[:-1][reach]]  # lowest-index core neighbor
     labels[reach] = labels[core[first_core]]
-    return Clustering(labels=labels, n_clusters=n_clusters)
+    return PipelineResult(labels, n_clusters, graph, epsilon)

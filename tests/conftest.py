@@ -6,11 +6,20 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from spectacl import eigen
 from spectacl.dataio import DataMatrix
+from spectacl.eigen import EigenPairs, EigenSolverError
+from spectacl.embedding import EmbeddingError
 from spectacl.graph import SparseSymmetricMatrix
 from spectacl.kmeans import NOISE, Clustering, ClusteringError
 from spectacl.metrics import MetricError
+
+
+def from_dense(arr) -> SparseSymmetricMatrix:
+    """A dense symmetric array as a SparseSymmetricMatrix."""
+    return SparseSymmetricMatrix(sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
 
 
 def cliques_graph(sizes):
@@ -24,7 +33,7 @@ def cliques_graph(sizes):
         labels.extend([i] * s)
         off += s
     truth = Clustering(labels=np.array(labels, dtype=np.int64), n_clusters=len(sizes))
-    return SparseSymmetricMatrix.from_dense(A), truth
+    return from_dense(A), truth
 
 
 def random_points(rng, m, n=2, scale=1.0):
@@ -197,6 +206,45 @@ def brute_force_assignment(scores, maximize=True):
         return sign * best_val, best_map
     val, inv = brute_force_assignment(scores.T, maximize)
     return val, {c: i for i, c in inv.items()}
+
+
+# --- spectral oracles ------------------------------------------------------------
+
+def full_dense_eigs(matrix) -> EigenPairs:
+    """All eigenpairs of a dense symmetric matrix, sorted by |eigenvalue| with
+    the sign convention of truncated_eigs: the reference the solver is tested
+    against."""
+    A = np.asarray(matrix, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise EigenSolverError(f"matrix is not square: {A.shape}")
+    if not np.array_equal(A, A.T):
+        raise EigenSolverError("matrix is not symmetric")
+    w, V = eigen._dense_pairs(A)
+    return EigenPairs(w, eigen._fix_signs(V))
+
+
+def projected_density_check(W: SparseSymmetricMatrix, pairs: EigenPairs):
+    """Per eigenpair, (|lambda|, Rayleigh quotient of the absolute eigenvector).
+
+    For nonnegative W every returned pair satisfies density >= |lambda| (up to
+    roundoff); callers assert that bound.
+    """
+    if W.dim != pairs.vectors.shape[0]:
+        raise EmbeddingError(
+            f"dimension mismatch: W is {W.dim}, eigenvectors have {pairs.vectors.shape[0]} rows"
+        )
+    out = []
+    for i in range(pairs.d):
+        u = np.abs(pairs.vectors[:, i])
+        delta = float(u @ W.matvec(u)) / float(u @ u)
+        out.append((float(abs(pairs.values[i])), delta))
+    return out
+
+
+@pytest.fixture
+def no_dense_fallback(monkeypatch):
+    """Force truncated_eigs onto its iterative path at every size."""
+    monkeypatch.setattr(eigen, "DENSE_FALLBACK_DIM", 0)
 
 
 # --- objectives used only as cross-checks ---------------------------------------

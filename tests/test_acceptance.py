@@ -11,9 +11,8 @@ import numpy as np
 
 from spectacl.cli import main as cli_main
 from spectacl.datagen import SyntheticSpec, generate
-from spectacl.eigen import full_dense_eigs, truncated_eigs
-from spectacl.embedding import projected_density_check
-from spectacl.graph import SparseSymmetricMatrix, choose_epsilon, symmetric_normalize
+from spectacl.eigen import truncated_eigs
+from spectacl.graph import choose_epsilon, symmetric_normalize
 from spectacl.kmeans import Clustering, kmeans
 from spectacl.metrics import average_density_objective, f_measure, hungarian
 from spectacl.pipelines import (
@@ -29,6 +28,9 @@ from conftest import (
     cliques_graph,
     exhaustive_best_density,
     exhaustive_best_inertia,
+    from_dense,
+    full_dense_eigs,
+    projected_density_check,
     random_epsilon_graph,
     trace_objective,
 )
@@ -253,7 +255,7 @@ def test_acceptance_7_exhaustive_oracles():
         B = (rng.random((m, m)) < 0.4).astype(float)
         A = np.triu(B, 1)
         A = A + A.T
-        W = SparseSymmetricMatrix.from_dense(A)
+        W = from_dense(A)
         cl = spectacl(W, SpectaclConfig(r=2, d=m, seed=0))
         obj = average_density_objective(cl, W)
         best = exhaustive_best_density(A, 2)
@@ -303,7 +305,7 @@ def test_acceptance_7_exhaustive_oracles():
     )
 
 
-def test_acceptance_8_eigensolver_correctness():
+def test_acceptance_8_eigensolver_correctness(no_dense_fallback):
     start = time.perf_counter()
     rng = np.random.default_rng(808)
     worst_val, worst_res = 0.0, 0.0
@@ -312,8 +314,8 @@ def test_acceptance_8_eigensolver_correctness():
         d = int(rng.integers(1, 21))
         B = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.3)
         A = (B + B.T) / 2.0
-        W = SparseSymmetricMatrix.from_dense(A)
-        pairs = truncated_eigs(W, d, dense_threshold=0)
+        W = from_dense(A)
+        pairs = truncated_eigs(W, d)
         oracle = full_dense_eigs(A)
         worst_val = max(
             worst_val,

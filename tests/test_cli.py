@@ -1,9 +1,10 @@
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from spectacl import cli, pipelines
+from spectacl import graph
 from spectacl.cli import main
 
 
@@ -69,6 +70,25 @@ def test_unknown_algorithm_is_usage_error(capsys):
 def test_missing_input_file_is_runtime_error(capsys):
     code = run_cli(["--in", "/nonexistent/points.csv", "--algo", "dbscan", "--eps", "1.0"])
     assert code == 1
+
+
+def test_graph_directory_is_runtime_error(tmp_path, capsys):
+    code = run_cli(["--graph", str(tmp_path), "--algo", "spectacl", "-r", "2"])
+    assert code == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--algo", "spectacl", "-r", "0"],
+    ["--algo", "spectacl", "-r", "61", "-d", "61"],
+    ["--algo", "spectacl", "-r", "2", "-d", "0"],
+    ["--algo", "dbscan", "--min-pts", "0"],
+    ["--algo", "sc", "-r", "1"],
+], ids=["r-zero", "r-above-m", "d-zero", "min-pts-zero", "sc-r-one"])
+def test_invalid_pipeline_parameter_is_usage_error(capsys, args):
+    code = run_cli(["--gen", "moons", "--m", "60"] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_scatter_plot_svg(tmp_path):
@@ -190,19 +210,21 @@ def test_eps_flag_rejects_garbage(capsys):
     assert code == 2
 
 
-def count_graph_builds(monkeypatch):
-    """Counts of epsilon_graph and knn_graph calls from the CLI and the pipelines."""
-    calls = {"epsilon_graph": 0, "knn_graph": 0}
-    for name in calls:
-        original = getattr(cli, name)
+def count_calls(monkeypatch, *names):
+    """Counts of calls to the named spectacl.graph functions, made through any
+    spectacl module that binds them."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("spectacl.")]
+    for name in names:
+        original = getattr(graph, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        # the pipelines module binds the same builders; count its calls too
-        monkeypatch.setattr(cli, name, counted)
-        monkeypatch.setattr(pipelines, name, counted)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -211,15 +233,24 @@ def count_graph_builds(monkeypatch):
     ("dbscan", "epsilon_graph"),
 ])
 def test_single_run_builds_one_graph(monkeypatch, capsys, algo, builder):
-    calls = count_graph_builds(monkeypatch)
+    calls = count_calls(monkeypatch, "epsilon_graph", "knn_graph")
     code = run_cli(["--gen", "moons", "--m", "120", "--algo", algo, "-r", "2", "-d", "8"])
     assert code == 0
     assert "objective=" in capsys.readouterr().out
     assert calls == {name: int(name == builder) for name in calls}
 
 
+@pytest.mark.parametrize("algo", ["sc", "spectacl-norm"])
+def test_single_run_normalizes_once(monkeypatch, capsys, algo):
+    calls = count_calls(monkeypatch, "symmetric_normalize")
+    code = run_cli(["--gen", "moons", "--m", "120", "--algo", algo, "-r", "2", "-d", "8"])
+    assert code == 0
+    assert "objective=" in capsys.readouterr().out
+    assert calls == {"symmetric_normalize": 1}
+
+
 def test_sweep_builds_one_graph_per_clustering(monkeypatch, tmp_path):
-    calls = count_graph_builds(monkeypatch)
+    calls = count_calls(monkeypatch, "epsilon_graph", "knn_graph")
     code = run_cli([
         "--gen", "moons", "--m", "120", "--sweep", "noise", "--values", "0.05,0.1",
         "--repeats", "2", "--algo", "sc,dbscan", "-r", "2", "--out", str(tmp_path / "s.csv"),

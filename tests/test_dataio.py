@@ -50,6 +50,17 @@ def test_load_points_missing_file(tmp_path):
         load_points(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("loader", [load_points, load_edge_list])
+@pytest.mark.parametrize("content", [None, b"0 1\n\xff 2\n"], ids=["directory", "non-utf8"])
+def test_unreadable_file_is_data_io_error(tmp_path, loader, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "data.txt"
+        path.write_bytes(content)
+    with pytest.raises(DataIOError, match="cannot read"):
+        loader(path)
+
+
 def test_load_points_header_and_delimiter(tmp_path):
     p = tmp_path / "pts.tsv"
     p.write_text("a\tb\n1\t2\n")

@@ -5,15 +5,10 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectacl import eigen
 from spectacl.dataio import DataMatrix
-from spectacl.eigen import (
-    EigenPairs,
-    EigenSolverError,
-    full_dense_eigs,
-    truncated_eigs,
-)
+from spectacl.eigen import EigenPairs, EigenSolverError, truncated_eigs
 from spectacl.graph import SparseSymmetricMatrix, epsilon_graph
 
-from conftest import cliques_graph
+from conftest import cliques_graph, from_dense, full_dense_eigs
 
 
 def random_symmetric(rng, m, density=1.0):
@@ -47,13 +42,8 @@ def test_dense_rejects_asymmetric():
         full_dense_eigs(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_dense_threshold():
-    with pytest.raises(EigenSolverError, match="limited"):
-        full_dense_eigs(np.zeros((5, 5)), max_dim=4)
-
-
 def test_two_cycle_spectrum():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     pairs = truncated_eigs(W, 2)
     assert sorted(pairs.values.tolist()) == [-1.0, 1.0]
     A = W.to_dense()
@@ -77,17 +67,17 @@ def test_clique_pair_degenerate_projector():
 
 def test_truncated_matches_dense_oracle(rng):
     A = random_symmetric(rng, 20)
-    W = SparseSymmetricMatrix.from_dense(A)
+    W = from_dense(A)
     pairs = truncated_eigs(W, 5)
     oracle = full_dense_eigs(A)
     assert np.allclose(np.abs(pairs.values), np.abs(oracle.values[:5]), atol=1e-8)
 
 
-def test_lanczos_path_matches_dense_oracle(rng):
+def test_lanczos_path_matches_dense_oracle(rng, no_dense_fallback):
     for _ in range(5):
         A = random_symmetric(rng, 90, density=0.2)
-        W = SparseSymmetricMatrix.from_dense(A)
-        pairs = truncated_eigs(W, 7, dense_threshold=0)
+        W = from_dense(A)
+        pairs = truncated_eigs(W, 7)
         oracle = full_dense_eigs(A)
         assert np.allclose(pairs.values, oracle.values[:7], atol=1e-8)
         res = np.linalg.norm(A @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
@@ -98,10 +88,10 @@ def test_lanczos_path_matches_dense_oracle(rng):
     "size, copies",
     [pytest.param(5, 8, id="8-cliques-of-5"), pytest.param(30, 20, id="20-cliques-of-30")],
 )
-def test_lanczos_resolves_multiplicity(size, copies):
+def test_lanczos_resolves_multiplicity(size, copies, no_dense_fallback):
     # disjoint cliques: top eigenvalue size-1 with multiplicity `copies`
     W, _ = cliques_graph((size,) * copies)
-    pairs = truncated_eigs(W, copies, dense_threshold=0)
+    pairs = truncated_eigs(W, copies)
     assert np.allclose(pairs.values, size - 1.0, atol=1e-9)
     G = pairs.vectors.T @ pairs.vectors
     assert np.abs(G - np.eye(copies)).max() <= 1e-8
@@ -134,16 +124,26 @@ def test_arpack_failure_is_eigen_solver_error(monkeypatch):
         truncated_eigs(W, 5)
 
 
-def test_vectors_pairwise_orthogonal(rng):
+def test_dense_fallback_dim_is_read_at_call_time(monkeypatch, no_dense_fallback):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((12, 0)))
+
+    monkeypatch.setattr(eigen, "eigsh", no_convergence)
+    W, _ = cliques_graph((6, 6))
+    with pytest.raises(EigenSolverError, match="ARPACK"):
+        truncated_eigs(W, 2)
+
+
+def test_vectors_pairwise_orthogonal(rng, no_dense_fallback):
     A = random_symmetric(rng, 60, density=0.3)
-    pairs = truncated_eigs(SparseSymmetricMatrix.from_dense(A), 6, dense_threshold=0)
+    pairs = truncated_eigs(from_dense(A), 6)
     G = pairs.vectors.T @ pairs.vectors
     assert np.abs(G - np.eye(6)).max() <= 1e-8
 
 
 def test_rayleigh_quotient_equals_eigenvalue(rng):
     A = random_symmetric(rng, 40)
-    pairs = truncated_eigs(SparseSymmetricMatrix.from_dense(A), 6)
+    pairs = truncated_eigs(from_dense(A), 6)
     for i in range(6):
         v = pairs.vectors[:, i]
         assert abs(v @ A @ v / (v @ v) - pairs.values[i]) <= 1e-8
@@ -164,11 +164,11 @@ def test_translated_laplacian_top_is_componentwise_constant(rng):
         assert vals.max() - vals.min() <= 1e-8
 
 
-def test_sign_convention_and_determinism(rng):
+def test_sign_convention_and_determinism(rng, no_dense_fallback):
     A = random_symmetric(rng, 80, density=0.25)
-    W = SparseSymmetricMatrix.from_dense(A)
-    p1 = truncated_eigs(W, 5, dense_threshold=0)
-    p2 = truncated_eigs(W, 5, dense_threshold=0)
+    W = from_dense(A)
+    p1 = truncated_eigs(W, 5)
+    p2 = truncated_eigs(W, 5)
     assert np.array_equal(p1.values, p2.values)
     assert np.array_equal(p1.vectors, p2.vectors)
     for i in range(5):
@@ -177,21 +177,21 @@ def test_sign_convention_and_determinism(rng):
 
 
 def test_equal_magnitude_ties_prefer_positive():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     pairs = truncated_eigs(W, 2)
     assert pairs.values[0] == 1.0 and pairs.values[1] == -1.0
 
 
 def test_reconstruction_at_full_rank(rng):
     A = random_symmetric(rng, 12)
-    W = SparseSymmetricMatrix.from_dense(A)
+    W = from_dense(A)
     pairs = truncated_eigs(W, 12)
     recon = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
     assert np.abs(recon - A).max() <= 12 * 1e-10
 
 
 def test_truncated_validates_d():
-    W = SparseSymmetricMatrix.from_dense(np.zeros((3, 3)))
+    W = from_dense(np.zeros((3, 3)))
     with pytest.raises(EigenSolverError):
         truncated_eigs(W, 0)
     with pytest.raises(EigenSolverError):

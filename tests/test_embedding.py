@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from spectacl.eigen import EigenPairs, full_dense_eigs, truncated_eigs
-from spectacl.embedding import (
-    EmbeddingError,
-    project_embedding,
-    projected_density_check,
-)
-from spectacl.graph import SparseSymmetricMatrix
+from spectacl.eigen import EigenPairs, truncated_eigs
+from spectacl.embedding import EmbeddingError, project_embedding
 from spectacl.metrics import density
 
-from conftest import random_epsilon_graph
+from conftest import from_dense, full_dense_eigs, projected_density_check, random_epsilon_graph
 
 
 def pairs_of(values, vectors):
@@ -53,7 +48,7 @@ def test_projection_idempotent_under_abs(rng):
 def test_perron_vector_density_is_top_eigenvalue():
     # nonnegative matrix whose top eigenvector is already nonnegative
     A = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    W = SparseSymmetricMatrix.from_dense(A)
+    W = from_dense(A)
     pairs = full_dense_eigs(A)
     checks = projected_density_check(W, pairs)
     lam1, delta1 = checks[0]
@@ -61,7 +56,7 @@ def test_perron_vector_density_is_top_eigenvalue():
 
 
 def test_two_cycle_projection_bound():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     pairs = truncated_eigs(W, 2)
     for lam_abs, delta in projected_density_check(W, pairs):
         assert lam_abs == pytest.approx(1.0)
@@ -88,7 +83,7 @@ def test_density_check_agrees_with_metric(rng):
 
 
 def test_dimension_mismatch():
-    W = SparseSymmetricMatrix.from_dense(np.zeros((3, 3)))
+    W = from_dense(np.zeros((3, 3)))
     pairs = pairs_of([1.0], [[1.0], [0.0]])
     with pytest.raises(EmbeddingError, match="mismatch"):
         projected_density_check(W, pairs)

@@ -9,7 +9,6 @@ from spectacl.dataio import DataMatrix
 from spectacl.graph import (
     RADIUS_NUDGE,
     GraphError,
-    SparseSymmetricMatrix,
     adjacency_from_edge_list,
     choose_epsilon,
     epsilon_graph,
@@ -23,6 +22,7 @@ from conftest import (
     dense_epsilon_graph,
     dense_kth_neighbor_distances,
     dense_knn_graph,
+    from_dense,
     pairwise_distances,
     point_cloud,
 )
@@ -172,13 +172,13 @@ def test_knn_tie_break_lowest_index():
 
 
 def test_normalize_unit_degrees_unchanged():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(symmetric_normalize(W).to_dense(), W.to_dense())
 
 
 def test_normalize_triangle():
     K3 = np.ones((3, 3)) - np.eye(3)
-    out = symmetric_normalize(SparseSymmetricMatrix.from_dense(K3)).to_dense()
+    out = symmetric_normalize(from_dense(K3)).to_dense()
     assert np.allclose(out, K3 / 2.0)
     assert np.array_equal(out, out.T)
 
@@ -186,7 +186,7 @@ def test_normalize_triangle():
 def test_normalize_isolated_row_stays_zero():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = 1.0
-    out = symmetric_normalize(SparseSymmetricMatrix.from_dense(A)).to_dense()
+    out = symmetric_normalize(from_dense(A)).to_dense()
     assert np.all(out[2] == 0) and np.all(out[:, 2] == 0)
 
 
@@ -194,7 +194,7 @@ def test_normalize_rejects_negative_weights():
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = -1.0
     with pytest.raises(GraphError, match="nonnegative"):
-        symmetric_normalize(SparseSymmetricMatrix.from_dense(A))
+        symmetric_normalize(from_dense(A))
 
 
 def test_normalized_spectral_radius_at_most_one(rng):
@@ -271,10 +271,10 @@ def test_comment_only_edge_list_has_no_nodes(tmp_path):
 def test_sparse_matrix_rejects_asymmetry():
     A = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(GraphError, match="symmetric"):
-        SparseSymmetricMatrix.from_dense(A)
+        from_dense(A)
 
 
 def test_sparse_matrix_add_scaled_identity():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     shifted = W.add_scaled_identity(2.0).to_dense()
     assert np.array_equal(shifted, [[2.0, 1.0], [1.0, 2.0]])

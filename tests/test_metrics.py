@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectacl.graph import SparseSymmetricMatrix, symmetric_normalize
+from spectacl.graph import symmetric_normalize
 from spectacl.kmeans import Clustering
 from spectacl.metrics import (
     MetricError,
@@ -21,6 +21,7 @@ from conftest import (
     brute_force_assignment,
     cliques_graph,
     cut_value,
+    from_dense,
     random_epsilon_graph,
     ratio_cut,
 )
@@ -100,7 +101,7 @@ def test_cut_disjoint_cliques_zero():
 
 
 def test_cut_single_edge_counted_twice():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert cut_value(labels_of([0, 1], 2), W) == pytest.approx(2.0)
 
 
@@ -110,7 +111,7 @@ def test_ratio_cut_single_cluster():
 
 
 def test_ratio_cut_single_edge_singletons():
-    W = SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert ratio_cut(labels_of([0, 1], 2), W) == pytest.approx(2.0)
 
 

@@ -13,12 +13,13 @@ import spectacl as spectacl_package
 
 from spectacl.dataio import DataMatrix
 from spectacl.datagen import SyntheticSpec, generate
-from spectacl.graph import SparseSymmetricMatrix, epsilon_graph
+from spectacl.graph import epsilon_graph, knn_graph, symmetric_normalize
 from spectacl.kmeans import Clustering
 from spectacl.metrics import average_density_objective, f_measure
 from spectacl.pipelines import (
     DbscanConfig,
     PipelineError,
+    PipelineResult,
     SpectaclConfig,
     auto_epsilon,
     dbscan,
@@ -26,7 +27,13 @@ from spectacl.pipelines import (
     spectral_clustering,
 )
 
-from conftest import cliques_graph, exhaustive_best_density, flood_fill_dbscan, point_cloud
+from conftest import (
+    cliques_graph,
+    exhaustive_best_density,
+    flood_fill_dbscan,
+    from_dense,
+    point_cloud,
+)
 
 
 def test_spectacl_two_cliques_reaches_exhaustive_optimum():
@@ -52,7 +59,7 @@ def test_spectacl_never_beats_exhaustive_maximum(rng):
         B = (rng.random((m, m)) < 0.45).astype(float)
         A = np.triu(B, 1)
         A = A + A.T
-        W = SparseSymmetricMatrix.from_dense(A)
+        W = from_dense(A)
         cl = spectacl(W, SpectaclConfig(r=2, d=m, seed=0, restarts=5))
         obj = average_density_objective(cl, W)
         assert obj <= exhaustive_best_density(A, 2) + 1e-9
@@ -107,7 +114,7 @@ def test_isolated_points_warn_without_changing_labels():
         cl = spectacl(data, SpectaclConfig(r=2, epsilon=1e-6))
     assert sorted(cl.sizes()) == [1, 599]
     with pytest.warns(UserWarning, match="600 of 600 points have no neighbors"):
-        spectral_clustering(SparseSymmetricMatrix.from_dense(np.zeros((600, 600))), 2)
+        spectral_clustering(from_dense(np.zeros((600, 600))), 2)
 
 
 def test_connected_graph_does_not_warn():
@@ -213,6 +220,45 @@ def test_dbscan_equals_flood_fill_oracle(seed, m, kind, epsilon, min_pts):
         got = dbscan(data_or_graph, config)
         assert got.n_clusters == expect.n_clusters
         assert np.array_equal(got.labels, expect.labels)
+
+
+def assert_same_csr(a, b):
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, attr), getattr(b.matrix, attr))
+
+
+def test_spectacl_result_carries_its_epsilon_graph():
+    data, _ = generate(SyntheticSpec(shape="moons", m=150, noise=0.1, seed=3))
+    result = spectacl(data, SpectaclConfig(r=2, d=15))
+    assert isinstance(result, PipelineResult) and isinstance(result, Clustering)
+    assert result.epsilon == auto_epsilon(data)
+    assert_same_csr(result.graph, epsilon_graph(data, result.epsilon))
+    assert spectacl(data, SpectaclConfig(r=2, d=15, epsilon=0.3)).epsilon == 0.3
+
+
+def test_normalized_results_carry_the_normalized_knn_graph():
+    data, _ = generate(SyntheticSpec(shape="moons", m=150, noise=0.1, seed=3))
+    expected = symmetric_normalize(knn_graph(data, 8))
+    normalized = spectacl(data, SpectaclConfig(r=2, variant="normalized", knn=8, d=15))
+    for result in (normalized, spectral_clustering(data, 2, k=8)):
+        assert result.epsilon is None
+        assert_same_csr(result.graph, expected)
+
+
+def test_graph_input_result_is_that_graph():
+    W, _ = cliques_graph((4, 4))
+    for result in (spectacl(W, SpectaclConfig(r=2, d=2)), dbscan(W, DbscanConfig(min_pts=2))):
+        assert result.graph is W and result.epsilon is None
+
+
+def test_dbscan_default_epsilon_is_raw_coverage_quantile():
+    data, _ = generate(SyntheticSpec(shape="circles", m=200, noise=0.05, seed=2))
+    radius = auto_epsilon(data, 1.0)
+    auto = dbscan(data, DbscanConfig(min_pts=5))
+    fixed = dbscan(data, DbscanConfig(epsilon=radius, min_pts=5))
+    assert auto.epsilon == fixed.epsilon == radius
+    assert auto.n_clusters == fixed.n_clusters
+    assert np.array_equal(auto.labels, fixed.labels)
 
 
 def test_auto_epsilon_needs_eleven_points():
