@@ -3,7 +3,7 @@
 from .dataio import DataMatrix, EdgeList, load_edge_list, load_labeled_points, load_points
 from .datagen import SyntheticSpec, generate
 from .eigen import EigenPairs, truncated_eigs
-from .embedding import Embedding, project_embedding
+from .embedding import project_embedding
 from .graph import (
     SparseSymmetricMatrix,
     adjacency_from_edge_list,
@@ -31,7 +31,6 @@ __all__ = [
     "DbscanConfig",
     "EdgeList",
     "EigenPairs",
-    "Embedding",
     "KMeansResult",
     "SparseSymmetricMatrix",
     "SpectaclConfig",

@@ -189,6 +189,9 @@ def run_cluster(args) -> None:
     if "," in algo:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
     epsilon = _parse_eps(args.eps)
+    if epsilon is not None and (data is None or algo not in AXIS_ALGORITHMS["epsilon"]):
+        raise UsageError(f"--eps {args.eps} is unused: {algo} on this input builds no "
+                         "epsilon graph")
     start = time.perf_counter()
     clustering = _run_algorithm(
         algo, data, adjacency,

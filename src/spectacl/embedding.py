@@ -8,8 +8,6 @@ embedding column is a fuzzy indicator of a subgraph at least that dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eigen import EigenPairs
@@ -19,29 +17,13 @@ from .eigen import EigenPairs
 ZERO_EIGENVALUE_CUTOFF = 1e-12
 
 
-class EmbeddingError(ValueError):
-    """Mismatched inputs to an embedding operation."""
+def project_embedding(pairs: EigenPairs) -> np.ndarray:
+    """The m x d array U[j,k] = |V[j,k]| * |lambda_k|^(1/2), with near-zero
+    eigenvalues zeroed.
 
-
-@dataclass(frozen=True)
-class Embedding:
-    """m x d nonnegative embedding; column k has norm sqrt(|lambda_k|)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.points, dtype=np.float64)
-        if arr.ndim != 2:
-            raise EmbeddingError(f"embedding must be 2-d, got shape {arr.shape}")
-        if arr.size and arr.min() < 0:
-            raise EmbeddingError("embedding has negative entries")
-        object.__setattr__(self, "points", arr)
-
-
-def project_embedding(pairs: EigenPairs) -> Embedding:
-    """U[j,k] = |V[j,k]| * |lambda_k|^(1/2), with near-zero eigenvalues zeroed."""
+    Every entry is nonnegative and column k has norm sqrt(|lambda_k|) (or 0).
+    """
     scale = np.sqrt(np.abs(pairs.values))
     U = np.abs(pairs.vectors) * scale[None, :]
     U[:, np.abs(pairs.values) < ZERO_EIGENVALUE_CUTOFF] = 0.0
-    return Embedding(U)
-
+    return U

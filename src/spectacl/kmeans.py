@@ -67,7 +67,6 @@ class KMeansResult:
     centroids: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: tuple[float, ...]
 
 
 def kmeans(
@@ -80,7 +79,9 @@ def kmeans(
 
     Each restart draws a k-means++ initialization from its own spawned random
     stream and iterates to an assignment fixpoint (or MAX_ITER iterations).
-    The result with the lowest inertia wins; ties keep the earliest restart.
+    Its inertia is the within-cluster scatter of the final labels about the
+    final centroids, computed once after the loop.  The result with the
+    lowest inertia wins; ties keep the earliest restart.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -104,7 +105,8 @@ def kmeans(
 
 
 def _sq_dist(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every row of X to the point c."""
+    """Squared Euclidean distance of every row of X to the point c, or to the
+    matching row of c when c has one row per point."""
     diff = X - c
     return np.einsum("ij,ij->i", diff, diff)
 
@@ -127,48 +129,42 @@ def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _assign(X: np.ndarray, centers: np.ndarray):
-    """Nearest centroid of every point and its squared distance to it."""
-    dist2 = np.column_stack([_sq_dist(X, c) for c in centers])
-    labels = np.argmin(dist2, axis=1)  # argmin takes the first minimum: lowest index wins ties
-    return labels, dist2[np.arange(X.shape[0]), labels]
-
-
 def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
     r = centers.shape[0]
     centers = centers.copy()
     prev_labels = None
-    history = []
-    for _ in range(MAX_ITER):
-        labels, cost = _assign(X, centers)
-        labels = _repair_empty(X, centers, labels, cost)
-        inertia = 0.0
+    for iterations in range(1, MAX_ITER + 1):
+        dist2 = np.column_stack([_sq_dist(X, c) for c in centers])
+        labels = np.argmin(dist2, axis=1)  # argmin takes the first minimum: lowest index wins ties
+        labels = _repair_empty(X, centers, labels)
         for i in range(r):
-            members = X[labels == i]
-            centers[i] = members.mean(axis=0)
-            diff = members - centers[i]
-            inertia += float(np.einsum("ij,ij->", diff, diff))
-        history.append(inertia)
+            centers[i] = X[labels == i].mean(axis=0)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
+    inertia = 0.0
+    for i in range(r):
+        diff = X[labels == i] - centers[i]
+        inertia += float(np.einsum("ij,ij->", diff, diff))
     return KMeansResult(
         clustering=Clustering(labels=labels, n_clusters=r),
         centroids=centers,
-        inertia=history[-1],
-        iterations=len(history),
-        inertia_history=tuple(history),
+        inertia=inertia,
+        iterations=iterations,
     )
 
 
-def _repair_empty(X, centers, labels, cost):
+def _repair_empty(X, centers, labels):
     """Reseed each empty centroid at the point farthest from its assigned centroid.
 
-    cost holds each point's squared distance to its centroid.  The moved point's
-    cost drops to zero and nobody else moves, so the Lloyd objective stays
-    non-increasing through repairs.
+    The per-point cost is computed only when some cluster is empty.  The moved
+    point's cost drops to zero and nobody else moves, so the Lloyd objective
+    stays non-increasing through repairs.
     """
     counts = np.bincount(labels, minlength=centers.shape[0])
+    if np.all(counts):
+        return labels
+    cost = _sq_dist(X, centers[labels])
     while np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
         # a point alone in its cluster cannot move without emptying it

@@ -38,6 +38,7 @@ from .dataio import DataMatrix
 from .eigen import truncated_eigs
 from .embedding import project_embedding
 from .graph import (
+    GraphError,
     SparseSymmetricMatrix,
     choose_epsilon,
     epsilon_graph,
@@ -81,6 +82,8 @@ class SpectaclConfig:
             raise PipelineError(f"need r >= 1, got {self.r}")
         if self.d < 1:
             raise PipelineError(f"need d >= 1, got {self.d}")
+        if self.restarts < 1:
+            raise PipelineError(f"need restarts >= 1, got {self.restarts}")
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise PipelineError(f"epsilon must be positive, got {self.epsilon}")
         if self.d < self.r:
@@ -127,11 +130,18 @@ class PipelineResult(Clustering):
 
 
 def _graph(data_or_graph, build) -> tuple[SparseSymmetricMatrix, float | None]:
-    """(graph, radius): a ready-made graph as is, or build(data) for point data."""
+    """(graph, radius): a ready-made graph as is, or build(data) for point data.
+
+    Point data is valid by construction, so a GraphError from build is an
+    invalid parameter (such as k outside [1, m)) and becomes a PipelineError.
+    """
     if isinstance(data_or_graph, SparseSymmetricMatrix):
         return data_or_graph, None
     if isinstance(data_or_graph, DataMatrix):
-        return build(data_or_graph)
+        try:
+            return build(data_or_graph)
+        except GraphError as exc:
+            raise PipelineError(str(exc)) from exc
     raise PipelineError(
         f"expected DataMatrix or SparseSymmetricMatrix, got {type(data_or_graph).__name__}"
     )
@@ -170,8 +180,8 @@ def spectacl(data_or_graph, config: SpectaclConfig) -> PipelineResult:
         raise PipelineError(f"r={config.r} exceeds the number of points {W.dim}")
     _warn_isolated(W)
     pairs = truncated_eigs(W, min(config.d, W.dim))
-    emb = project_embedding(pairs)
-    clustering = kmeans(emb.points, config.r, restarts=config.restarts, seed=config.seed).clustering
+    U = project_embedding(pairs)
+    clustering = kmeans(U, config.r, restarts=config.restarts, seed=config.seed).clustering
     return PipelineResult(clustering.labels, clustering.n_clusters, W, epsilon)
 
 
@@ -190,6 +200,8 @@ def spectral_clustering(
     """
     if r < 2:
         raise PipelineError(f"need r >= 2, got {r}")
+    if restarts < 1:
+        raise PipelineError(f"need restarts >= 1, got {restarts}")
     W, _ = _graph(data_or_graph, lambda data: (knn_graph(data, k), None))
     if r > W.dim:
         raise PipelineError(f"r={r} exceeds the number of points {W.dim}")

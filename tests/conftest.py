@@ -11,9 +11,15 @@ import scipy.sparse as sp
 from spectacl import eigen
 from spectacl.dataio import DataMatrix
 from spectacl.eigen import EigenPairs, EigenSolverError
-from spectacl.embedding import EmbeddingError
 from spectacl.graph import SparseSymmetricMatrix
-from spectacl.kmeans import NOISE, Clustering, ClusteringError
+from spectacl.kmeans import (
+    MAX_ITER,
+    NOISE,
+    Clustering,
+    ClusteringError,
+    KMeansResult,
+    _kmeanspp_init,
+)
 from spectacl.metrics import MetricError
 
 
@@ -230,7 +236,7 @@ def projected_density_check(W: SparseSymmetricMatrix, pairs: EigenPairs):
     roundoff); callers assert that bound.
     """
     if W.dim != pairs.vectors.shape[0]:
-        raise EmbeddingError(
+        raise ValueError(
             f"dimension mismatch: W is {W.dim}, eigenvectors have {pairs.vectors.shape[0]} rows"
         )
     out = []
@@ -274,6 +280,88 @@ def ratio_cut(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
             raise MetricError(f"cluster {s} is empty")
         total += float(y @ W.matvec(ones - y)) / size
     return total
+
+
+# --- k-means oracle --------------------------------------------------------------
+
+def reference_kmeans(data, r, restarts=10, seed=0):
+    """The earlier Lloyd loop, kept as the oracle for spectacl.kmeans.kmeans.
+
+    It computes every point's squared distance to its centroid and the inertia
+    on every iteration, and takes the result's inertia and iteration count
+    from that history.  Same seeding streams, restarts and tie rules as
+    kmeans.  Returns (KMeansResult, number of empty clusters reseeded).
+    """
+    X = np.asarray(data, dtype=np.float64)
+    best, repairs = None, 0
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        centers = _kmeanspp_init(X, r, np.random.default_rng(child))
+        result, reseeded = _reference_lloyd(X, centers)
+        repairs += reseeded
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best, repairs
+
+
+def _reference_sq_dist(X, c):
+    diff = X - c
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _reference_assign(X, centers):
+    """Nearest centroid of every point (lowest index on ties) and its squared
+    distance to it."""
+    dist2 = np.column_stack([_reference_sq_dist(X, c) for c in centers])
+    labels = np.argmin(dist2, axis=1)
+    return labels, dist2[np.arange(X.shape[0]), labels]
+
+
+def _reference_lloyd(X, centers):
+    r = centers.shape[0]
+    centers = centers.copy()
+    prev_labels = None
+    history = []
+    reseeded = 0
+    for _ in range(MAX_ITER):
+        labels, cost = _reference_assign(X, centers)
+        reseeded += _reference_repair_empty(X, centers, labels, cost)
+        inertia = 0.0
+        for i in range(r):
+            members = X[labels == i]
+            centers[i] = members.mean(axis=0)
+            diff = members - centers[i]
+            inertia += float(np.einsum("ij,ij->", diff, diff))
+        history.append(inertia)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+    result = KMeansResult(
+        clustering=Clustering(labels=labels, n_clusters=r),
+        centroids=centers,
+        inertia=history[-1],
+        iterations=len(history),
+    )
+    return result, reseeded
+
+
+def _reference_repair_empty(X, centers, labels, cost):
+    """Reseed empty clusters in place from the eagerly computed cost; returns
+    how many were reseeded."""
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    reseeded = 0
+    while np.any(counts == 0):
+        empty = int(np.flatnonzero(counts == 0)[0])
+        movable = np.where(counts[labels] > 1, cost, -np.inf)
+        pick = int(np.argmax(movable))
+        if movable[pick] == -np.inf:
+            raise ClusteringError("cannot repair empty cluster: too few distinct points")
+        counts[labels[pick]] -= 1
+        labels[pick] = empty
+        counts[empty] = 1
+        centers[empty] = X[pick]
+        cost[pick] = 0.0
+        reseeded += 1
+    return reseeded
 
 
 def labeling_inertia(data: np.ndarray, clustering: Clustering) -> float:

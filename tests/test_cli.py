@@ -84,11 +84,29 @@ def test_graph_directory_is_runtime_error(tmp_path, capsys):
     ["--algo", "spectacl", "-r", "2", "-d", "0"],
     ["--algo", "dbscan", "--min-pts", "0"],
     ["--algo", "sc", "-r", "1"],
-], ids=["r-zero", "r-above-m", "d-zero", "min-pts-zero", "sc-r-one"])
+    ["--algo", "sc", "-r", "2", "--knn", "0"],
+    ["--algo", "spectacl-norm", "-r", "2", "--knn", "60"],
+    ["--algo", "spectacl", "-r", "2", "--restarts", "0"],
+], ids=["r-zero", "r-above-m", "d-zero", "min-pts-zero", "sc-r-one", "knn-zero", "knn-at-m",
+        "restarts-zero"])
 def test_invalid_pipeline_parameter_is_usage_error(capsys, args):
     code = run_cli(["--gen", "moons", "--m", "60"] + args)
     assert code == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--gen", "moons", "--m", "60", "--algo", "sc"],
+    ["--gen", "moons", "--m", "60", "--algo", "spectacl-norm"],
+    ["--graph", "GRAPH", "--algo", "spectacl"],
+], ids=["sc", "spectacl-norm", "graph-spectacl"])
+def test_eps_without_epsilon_graph_is_usage_error(tmp_path, capsys, args):
+    edges = tmp_path / "graph.txt"
+    edges.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    args = [str(edges) if a == "GRAPH" else a for a in args]
+    code = run_cli(args + ["-r", "2", "--eps", "0.2"])
+    assert code == 2
+    assert "builds no epsilon graph" in capsys.readouterr().err
 
 
 def test_scatter_plot_svg(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectacl.eigen import EigenPairs, truncated_eigs
-from spectacl.embedding import EmbeddingError, project_embedding
+from spectacl.embedding import project_embedding
 from spectacl.metrics import density
 
 from conftest import from_dense, full_dense_eigs, projected_density_check, random_epsilon_graph
@@ -15,25 +15,25 @@ def pairs_of(values, vectors):
 def test_projection_removes_signs():
     s = 1 / np.sqrt(2)
     pairs = pairs_of([-1.0], [[s], [-s]])
-    U = project_embedding(pairs).points
+    U = project_embedding(pairs)
     assert np.allclose(U, [[s], [s]])
 
 
 def test_projection_zero_eigenvalue_column():
     pairs = pairs_of([0.0], [[0.6], [-0.8]])
-    assert np.all(project_embedding(pairs).points == 0.0)
+    assert np.all(project_embedding(pairs) == 0.0)
 
 
 def test_projection_scales_by_sqrt_abs():
     pairs = pairs_of([4.0], [[0.6], [-0.8]])
-    U = project_embedding(pairs).points
+    U = project_embedding(pairs)
     assert np.allclose(U, [[1.2], [1.6]])
 
 
 def test_column_norms_equal_sqrt_abs_eigenvalue(rng):
     data, W = random_epsilon_graph(rng, 40)
     pairs = truncated_eigs(W, 6)
-    U = project_embedding(pairs).points
+    U = project_embedding(pairs)
     for i, lam in enumerate(pairs.values):
         expected = 0.0 if abs(lam) < 1e-12 else np.sqrt(abs(lam))
         assert np.linalg.norm(U[:, i]) == pytest.approx(expected, abs=1e-10)
@@ -41,7 +41,7 @@ def test_column_norms_equal_sqrt_abs_eigenvalue(rng):
 
 def test_projection_idempotent_under_abs(rng):
     data, W = random_epsilon_graph(rng, 30)
-    U = project_embedding(truncated_eigs(W, 5)).points
+    U = project_embedding(truncated_eigs(W, 5))
     assert np.array_equal(np.abs(U), U)
 
 
@@ -85,12 +85,6 @@ def test_density_check_agrees_with_metric(rng):
 def test_dimension_mismatch():
     W = from_dense(np.zeros((3, 3)))
     pairs = pairs_of([1.0], [[1.0], [0.0]])
-    with pytest.raises(EmbeddingError, match="mismatch"):
+    with pytest.raises(ValueError, match="mismatch"):
         projected_density_check(W, pairs)
 
-
-def test_embedding_rejects_negative_entries():
-    from spectacl.embedding import Embedding
-
-    with pytest.raises(EmbeddingError, match="negative"):
-        Embedding(points=np.array([[-0.1]]))

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,15 @@ from hypothesis import strategies as st
 
 from spectacl.kmeans import Clustering, ClusteringError, kmeans
 
-from conftest import exhaustive_best_inertia, labeling_inertia, trace_objective
+from conftest import (
+    exhaustive_best_inertia,
+    labeling_inertia,
+    reference_kmeans,
+    trace_objective,
+)
+
+# the package attribute spectacl.kmeans is the function, not the module
+kmeans_module = importlib.import_module("spectacl.kmeans")
 
 
 def two_blob_points(rng, m=6, sep=5.0, sigma=0.01):
@@ -41,11 +51,54 @@ def test_two_blobs_match_exhaustive_oracle(rng):
     assert len(set(out[:3])) == 1 and len(set(out[3:])) == 1 and out[0] != out[3]
 
 
-def test_inertia_history_non_increasing(rng):
+def test_inertia_non_increasing_in_max_iter(rng, monkeypatch):
     X = rng.standard_normal((60, 4))
-    res = kmeans(X, 5, restarts=3, seed=1)
-    hist = np.array(res.inertia_history)
-    assert np.all(np.diff(hist) <= 1e-9)
+    inertias = []
+    for max_iter in range(1, 15):
+        monkeypatch.setattr(kmeans_module, "MAX_ITER", max_iter)
+        inertias.append(kmeans(X, 5, restarts=1, seed=1).inertia)
+    steps = np.diff(inertias)
+    assert np.all(steps <= 1e-9)
+    assert np.any(steps < 0)  # the cap really cut some runs short
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.clustering.labels, want.clustering.labels)
+    assert got.clustering.n_clusters == want.clustering.n_clusters
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia == want.inertia
+    assert got.iterations == want.iterations
+
+
+def lattice_points(rng, m, side):
+    """Points on a side x side integer lattice.  With fewer distinct points
+    than clusters, seeding picks a point twice and a cluster starts empty."""
+    return rng.integers(0, side, size=(m, 2)).astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "lattice"]),
+       st.integers(1, 6), st.integers(1, 4))
+def test_kmeans_matches_reference(seed, kind, r, restarts):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(r, 40))
+    if kind == "gaussian":
+        X = rng.standard_normal((m, int(rng.integers(1, 5))))
+    else:
+        X = lattice_points(rng, m, int(rng.integers(2, 4)))
+    want, _ = reference_kmeans(X, r, restarts=restarts, seed=seed)
+    assert_same_result(kmeans(X, r, restarts=restarts, seed=seed), want)
+
+
+def test_lattice_inputs_reach_repair():
+    repairs = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X = lattice_points(rng, 30, 2)
+        want, reseeded = reference_kmeans(X, 6, restarts=3, seed=seed)
+        assert_same_result(kmeans(X, 6, restarts=3, seed=seed), want)
+        repairs += reseeded
+    assert repairs > 0
 
 
 def test_centroids_are_exact_means(rng):
