@@ -17,7 +17,6 @@ from .metrics import average_density_objective, density, f_measure, hungarian, n
 from .pipelines import (
     DbscanConfig,
     SpectaclConfig,
-    auto_epsilon,
     dbscan,
     spectacl,
     spectral_clustering,
@@ -36,7 +35,6 @@ __all__ = [
     "SpectaclConfig",
     "SyntheticSpec",
     "adjacency_from_edge_list",
-    "auto_epsilon",
     "average_density_objective",
     "choose_epsilon",
     "dbscan",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, metrics, svg
-from .datagen import SHAPES, SyntheticSpec, generate
+from .datagen import SHAPES, DataGenError, SyntheticSpec, generate
+from .dataio import DataMatrix
 from .graph import adjacency_from_edge_list
 from .kmeans import Clustering
 from .pipelines import (
@@ -114,11 +115,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        if not args.delimiter:
+            raise UsageError("--delimiter must not be empty")
         if args.sweep:
             run_sweep(build_sweep_spec(args), out=args.out, plot=args.plot)
         else:
             run_cluster(args)
-    except (UsageError, PipelineError) as exc:
+    except (UsageError, PipelineError, DataGenError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -140,14 +145,14 @@ def _parse_eps(text):
 
 
 def _load_input(args):
-    """Returns (data, adjacency, truth); exactly one of data/adjacency is set."""
+    """Returns (source, truth): the DataMatrix or SparseSymmetricMatrix to
+    cluster, and the ground truth if the input carries one."""
     sources = [s for s in (args.gen, args.infile, args.graph) if s]
     if len(sources) != 1:
         raise UsageError("choose exactly one of --gen, --in, --graph")
     if args.gen:
         spec = SyntheticSpec(shape=args.gen, m=args.m, noise=args.noise, seed=args.seed)
-        data, truth = generate(spec)
-        return data, None, truth
+        return generate(spec)
     if args.infile:
         if args.labeled:
             data, labels = dataio.load_labeled_points(
@@ -155,25 +160,22 @@ def _load_input(args):
             )
             classes, class_index = np.unique(labels, return_inverse=True)
             truth = Clustering(labels=class_index, n_clusters=len(classes))
-            return data, None, truth
+            return data, truth
         data = dataio.load_points(args.infile, delimiter=args.delimiter, has_header=args.header)
-        return data, None, None
-    adjacency = adjacency_from_edge_list(dataio.load_edge_list(args.graph))
-    return None, adjacency, None
+        return data, None
+    return adjacency_from_edge_list(dataio.load_edge_list(args.graph)), None
 
 
-def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
-                   restarts, seed):
-    """The PipelineResult of the named algorithm on the points, else on the graph."""
+def _run_algorithm(name, source, *, r, d, knn, min_pts, epsilon, restarts, seed):
+    """The PipelineResult of the named algorithm on the points or the graph."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if name != "dbscan" and r is None:
         raise UsageError(f"{name} requires -r")
     if name == "dbscan":
-        if data is None:
+        if not isinstance(source, DataMatrix):
             raise UsageError("dbscan needs point data, not a graph")
-        return dbscan(data, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
-    source = adjacency if data is None else data
+        return dbscan(source, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
     if name == "sc":
         return spectral_clustering(source, r, k=knn, seed=seed, restarts=restarts)
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"
@@ -184,17 +186,19 @@ def _run_algorithm(name, data, adjacency, *, r, d, knn, min_pts, epsilon,
 
 
 def run_cluster(args) -> None:
-    data, adjacency, truth = _load_input(args)
+    source, truth = _load_input(args)
     algo = args.algo or "spectacl"
     if "," in algo:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
     epsilon = _parse_eps(args.eps)
-    if epsilon is not None and (data is None or algo not in AXIS_ALGORITHMS["epsilon"]):
+    if epsilon is not None and (
+        not isinstance(source, DataMatrix) or algo not in AXIS_ALGORITHMS["epsilon"]
+    ):
         raise UsageError(f"--eps {args.eps} is unused: {algo} on this input builds no "
                          "epsilon graph")
     start = time.perf_counter()
     clustering = _run_algorithm(
-        algo, data, adjacency,
+        algo, source,
         r=args.r, d=args.d, knn=args.knn, min_pts=args.min_pts,
         epsilon=epsilon, restarts=args.restarts, seed=args.seed,
     )
@@ -204,11 +208,8 @@ def run_cluster(args) -> None:
     if clustering.epsilon is not None:
         tag = " (auto)" if epsilon is None else ""
         fields.append(f"epsilon={clustering.epsilon:.6g}{tag}")
-    try:
-        objective = metrics.average_density_objective(clustering, clustering.graph)
-        fields.append(f"objective={objective:.6g}")
-    except metrics.MetricError:
-        fields.append("objective=nan")
+    objective = metrics.average_density_objective(clustering, clustering.graph)
+    fields.append(f"objective={objective:.6g}")
     if truth is not None:
         fields.append(f"F={metrics.f_measure(clustering, truth).total_f:.6g}")
         fields.append(f"NMI={metrics.nmi(clustering, truth):.6g}")
@@ -220,9 +221,9 @@ def run_cluster(args) -> None:
     if args.out:
         dataio.write_clustering(args.out, clustering)
     if args.plot:
-        if data is None:
+        if not isinstance(source, DataMatrix):
             raise UsageError("--plot needs point data")
-        svg.scatter_svg(args.plot, data.values, clustering.labels,
+        svg.scatter_svg(args.plot, source.values, clustering.labels,
                         title=f"{algo} ({clustering.n_clusters} clusters)")
 
 
@@ -287,7 +288,7 @@ def sweep_rows(spec: SweepSpec):
                 eps = value if spec.axis == "epsilon" else spec.epsilon
                 start = time.perf_counter()
                 clustering = _run_algorithm(
-                    algo, data, None,
+                    algo, data,
                     r=spec.r, d=d, knn=knn, min_pts=spec.min_pts,
                     epsilon=eps, restarts=spec.restarts, seed=spec.seed,
                 )

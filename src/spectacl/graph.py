@@ -67,9 +67,6 @@ class SparseSymmetricMatrix:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def degrees(self) -> np.ndarray:
         """Row sums (weighted node degrees)."""
         return np.asarray(self.matrix.sum(axis=1)).ravel()
@@ -101,9 +98,18 @@ def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
     X = data.values
     pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
     pairs = pairs[_distances(X, pairs[:, 0], pairs[:, 1]) < radius]
-    rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(data.m, data.m))
+    # a view, so the only array of ones is the one _undirected concatenates
+    return _undirected(pairs, np.broadcast_to(1.0, len(pairs)), data.m)
+
+
+def _undirected(pairs: np.ndarray, weights: np.ndarray, n: int) -> SparseSymmetricMatrix:
+    """n x n matrix with weights[i] at (j, l) and at (l, j) for each row (j, l)
+    of the E x 2 array pairs; repeated pairs sum."""
+    j, l = pairs.T
+    mat = sp.csr_matrix(
+        (np.concatenate([weights, weights]), (np.concatenate([j, l]), np.concatenate([l, j]))),
+        shape=(n, n),
+    )
     return SparseSymmetricMatrix(mat)
 
 
@@ -183,6 +189,9 @@ def choose_epsilon(data: DataMatrix, neighbor_count: int = 10, coverage: float =
     """
     if not 0.0 < coverage <= 1.0:
         raise GraphError(f"coverage must be in (0, 1], got {coverage}")
+    if data.m <= neighbor_count:
+        raise GraphError(f"automatic epsilon needs at least {neighbor_count + 1} points, "
+                         f"got {data.m}; pass an epsilon")
     kth = kth_neighbor_distances(data, neighbor_count)
     count = min(data.m, max(1, math.ceil(coverage * data.m - 1e-9)))
     quantile = np.sort(kth)[count - 1]
@@ -196,10 +205,4 @@ def adjacency_from_edge_list(edges: EdgeList) -> SparseSymmetricMatrix:
     """Symmetric weighted adjacency from an undirected edge list."""
     if edges.node_count < 1:
         raise GraphError("edge list has no nodes")
-    j, l = edges.pairs.T
-    mat = sp.csr_matrix(
-        (np.concatenate([edges.weights, edges.weights]),
-         (np.concatenate([j, l]), np.concatenate([l, j]))),
-        shape=(edges.node_count, edges.node_count),
-    )
-    return SparseSymmetricMatrix(mat)
+    return _undirected(edges.pairs, edges.weights, edges.node_count)

@@ -167,11 +167,10 @@ def _repair_empty(X, centers, labels):
     cost = _sq_dist(X, centers[labels])
     while np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
-        # a point alone in its cluster cannot move without emptying it
+        # a point alone in its cluster cannot move without emptying it; r <= m
+        # leaves some cluster with two or more members while one is empty
         movable = np.where(counts[labels] > 1, cost, -np.inf)
         pick = int(np.argmax(movable))
-        if movable[pick] == -np.inf:
-            raise ClusteringError("cannot repair empty cluster: too few distinct points")
         counts[labels[pick]] -= 1
         labels[pick] = empty
         counts[empty] = 1

@@ -37,7 +37,7 @@ def density(y: np.ndarray, W: SparseSymmetricMatrix) -> float:
     sq = float(y @ y)
     if sq == 0.0:
         raise MetricError("density of the all-zero vector is undefined")
-    return float(y @ W.matvec(y)) / sq
+    return float(y @ (W.matrix @ y)) / sq
 
 
 def average_density_objective(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
@@ -84,7 +84,7 @@ def f_measure(pred: Clustering, truth: Clustering) -> MatchResult:
         return MatchResult(mapping={}, total_f=0.0)
     counts = contingency_table(pred, truth).astype(np.float64)
     pred_sizes = counts.sum(axis=1)
-    truth_sizes = np.bincount(truth.labels, minlength=r_true).astype(np.float64)
+    truth_sizes = truth.sizes().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where the overlap is 0
         pre = counts / pred_sizes[:, None]
         rec = counts / truth_sizes

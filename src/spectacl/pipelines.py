@@ -57,8 +57,6 @@ VARIANTS = ("unnormalized", "normalized")
 # keeping the heuristic's per-dataset adaptivity.  DBSCAN keeps the raw
 # quantile: its core threshold is calibrated against the raw neighbor counts.
 AUTO_EPSILON_SCALE = 2.0
-# The coverage rule gives this many neighbors to 90% of the points.
-AUTO_EPSILON_NEIGHBORS = 10
 
 
 class PipelineError(ValueError):
@@ -89,13 +87,13 @@ class SpectaclConfig:
         if self.d < self.r:
             warnings.warn(
                 f"embedding dimension d={self.d} is below the cluster count r={self.r}",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to the caller
             )
 
 
 @dataclass(frozen=True)
 class DbscanConfig:
-    epsilon: float | None = None  # None: the raw coverage quantile, auto_epsilon(data, 1.0)
+    epsilon: float | None = None  # None: the raw coverage quantile, choose_epsilon(data)
     min_pts: int = 10
 
     def __post_init__(self):
@@ -103,20 +101,6 @@ class DbscanConfig:
             raise PipelineError(f"epsilon must be positive, got {self.epsilon}")
         if self.min_pts < 1:
             raise PipelineError(f"need min_pts >= 1, got {self.min_pts}")
-
-
-def auto_epsilon(data: DataMatrix, scale: float = AUTO_EPSILON_SCALE) -> float:
-    """Ball radius picked from the data: the coverage quantile times scale.
-
-    The default scale is the one spectacl uses when no radius is given; DBSCAN
-    uses the raw quantile (scale 1).
-    """
-    if data.m <= AUTO_EPSILON_NEIGHBORS:
-        raise PipelineError(
-            f"automatic epsilon needs at least {AUTO_EPSILON_NEIGHBORS + 1} points, "
-            f"got {data.m}; pass an epsilon"
-        )
-    return scale * choose_epsilon(data, neighbor_count=AUTO_EPSILON_NEIGHBORS)
 
 
 @dataclass(frozen=True)
@@ -148,14 +132,21 @@ def _graph(data_or_graph, build) -> tuple[SparseSymmetricMatrix, float | None]:
 
 
 def _ball_graph(data: DataMatrix, epsilon: float | None, scale: float):
-    """(epsilon graph, radius); a radius of None is auto_epsilon(data, scale)."""
+    """(epsilon graph, radius); a radius of None is scale * choose_epsilon(data)."""
     if epsilon is None:
-        epsilon = auto_epsilon(data, scale)
+        epsilon = scale * choose_epsilon(data)
     return epsilon_graph(data, epsilon), epsilon
 
 
-def _warn_isolated(W: SparseSymmetricMatrix) -> None:
-    """Warn when some points have degree zero: the graph does not place them."""
+def _spectral_graph(data_or_graph, build, r: int) -> tuple[SparseSymmetricMatrix, float | None]:
+    """(graph, radius) from _graph, checked to have at least r points.
+
+    Warns when some points have degree zero: the graph does not place them.
+    Normalization keeps those rows zero, so the count holds after it too.
+    """
+    W, epsilon = _graph(data_or_graph, build)
+    if r > W.dim:
+        raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
     isolated = int(np.count_nonzero(W.degrees() == 0))
     if isolated:
         warnings.warn(
@@ -163,6 +154,7 @@ def _warn_isolated(W: SparseSymmetricMatrix) -> None:
             "so their cluster labels are arbitrary",
             stacklevel=3,
         )
+    return W, epsilon
 
 
 def spectacl(data_or_graph, config: SpectaclConfig) -> PipelineResult:
@@ -173,12 +165,9 @@ def spectacl(data_or_graph, config: SpectaclConfig) -> PipelineResult:
             return knn_graph(data, config.knn), None
         return _ball_graph(data, config.epsilon, AUTO_EPSILON_SCALE)
 
-    W, epsilon = _graph(data_or_graph, build)
+    W, epsilon = _spectral_graph(data_or_graph, build, config.r)
     if config.variant == "normalized":
         W = symmetric_normalize(W)
-    if config.r > W.dim:
-        raise PipelineError(f"r={config.r} exceeds the number of points {W.dim}")
-    _warn_isolated(W)
     pairs = truncated_eigs(W, min(config.d, W.dim))
     U = project_embedding(pairs)
     clustering = kmeans(U, config.r, restarts=config.restarts, seed=config.seed).clustering
@@ -202,10 +191,7 @@ def spectral_clustering(
         raise PipelineError(f"need r >= 2, got {r}")
     if restarts < 1:
         raise PipelineError(f"need restarts >= 1, got {restarts}")
-    W, _ = _graph(data_or_graph, lambda data: (knn_graph(data, k), None))
-    if r > W.dim:
-        raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
-    _warn_isolated(W)
+    W, _ = _spectral_graph(data_or_graph, lambda data: (knn_graph(data, k), None), r)
     normalized = symmetric_normalize(W)
     pairs = truncated_eigs(normalized.add_scaled_identity(1.0), r)
     clustering = kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering

@@ -28,6 +28,12 @@ def from_dense(arr) -> SparseSymmetricMatrix:
     return SparseSymmetricMatrix(sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
 
 
+def assert_same_csr(a: SparseSymmetricMatrix, b: SparseSymmetricMatrix) -> None:
+    """The two matrices have equal CSR arrays (indptr, indices, data)."""
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, attr), getattr(b.matrix, attr))
+
+
 def cliques_graph(sizes):
     """Disjoint cliques of the given sizes, plus the ground-truth clustering."""
     m = int(sum(sizes))
@@ -242,7 +248,7 @@ def projected_density_check(W: SparseSymmetricMatrix, pairs: EigenPairs):
     out = []
     for i in range(pairs.d):
         u = np.abs(pairs.vectors[:, i])
-        delta = float(u @ W.matvec(u)) / float(u @ u)
+        delta = float(u @ (W.matrix @ u)) / float(u @ u)
         out.append((float(abs(pairs.values[i])), delta))
     return out
 
@@ -263,7 +269,7 @@ def cut_value(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
     total = 0.0
     for s in range(clustering.n_clusters):
         y = clustering.indicator(s)
-        total += float(y @ W.matvec(ones - y))
+        total += float(y @ (W.matrix @ (ones - y)))
     return total
 
 
@@ -278,7 +284,7 @@ def ratio_cut(clustering: Clustering, W: SparseSymmetricMatrix) -> float:
         size = float(y.sum())
         if size == 0.0:
             raise MetricError(f"cluster {s} is empty")
-        total += float(y @ W.matvec(ones - y)) / size
+        total += float(y @ (W.matrix @ (ones - y))) / size
     return total
 
 

@@ -87,12 +87,24 @@ def test_graph_directory_is_runtime_error(tmp_path, capsys):
     ["--algo", "sc", "-r", "2", "--knn", "0"],
     ["--algo", "spectacl-norm", "-r", "2", "--knn", "60"],
     ["--algo", "spectacl", "-r", "2", "--restarts", "0"],
+    ["--algo", "dbscan", "--m", "1"],
+    ["--algo", "dbscan", "--noise", "-1"],
+    ["--algo", "dbscan", "--noise", "nan"],
+    ["--algo", "dbscan", "--seed", "-1"],
 ], ids=["r-zero", "r-above-m", "d-zero", "min-pts-zero", "sc-r-one", "knn-zero", "knn-at-m",
-        "restarts-zero"])
+        "restarts-zero", "gen-m-one", "gen-noise-negative", "gen-noise-nan", "seed-negative"])
 def test_invalid_pipeline_parameter_is_usage_error(capsys, args):
     code = run_cli(["--gen", "moons", "--m", "60"] + args)
     assert code == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_empty_delimiter_is_usage_error(tmp_path, capsys):
+    pts = tmp_path / "points.csv"
+    pts.write_text("0,0\n1,1\n")
+    code = run_cli(["--in", str(pts), "--delimiter", "", "--algo", "dbscan", "--eps", "1"])
+    assert code == 2
+    assert "--delimiter" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -200,6 +212,17 @@ def test_sweep_requires_out(capsys):
         "--algo", "spectacl", "-r", "2",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--values", "-0.1"]],
+                         ids=["seed-negative", "noise-negative"])
+def test_sweep_invalid_parameter_is_usage_error(tmp_path, capsys, args):
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1",
+        "--algo", "dbscan", "--out", str(tmp_path / "s.csv"),
+    ] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_sweep_axis_algorithm_mismatch(capsys):

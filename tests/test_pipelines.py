@@ -13,21 +13,28 @@ import spectacl as spectacl_package
 
 from spectacl.dataio import DataMatrix
 from spectacl.datagen import SyntheticSpec, generate
-from spectacl.graph import epsilon_graph, knn_graph, symmetric_normalize
+from spectacl.graph import (
+    GraphError,
+    choose_epsilon,
+    epsilon_graph,
+    knn_graph,
+    symmetric_normalize,
+)
 from spectacl.kmeans import Clustering
 from spectacl.metrics import average_density_objective, f_measure
 from spectacl.pipelines import (
+    AUTO_EPSILON_SCALE,
     DbscanConfig,
     PipelineError,
     PipelineResult,
     SpectaclConfig,
-    auto_epsilon,
     dbscan,
     spectacl,
     spectral_clustering,
 )
 
 from conftest import (
+    assert_same_csr,
     cliques_graph,
     exhaustive_best_density,
     flood_fill_dbscan,
@@ -47,7 +54,7 @@ def test_spectacl_two_cliques_reaches_exhaustive_optimum():
 
 def test_spectacl_single_blob_objective_is_average_degree():
     data, _ = generate(SyntheticSpec(shape="blobs", m=60, noise=0.0, seed=5, centers=1))
-    eps = auto_epsilon(data)
+    eps = AUTO_EPSILON_SCALE * choose_epsilon(data)
     W = epsilon_graph(data, eps)
     cl = spectacl(data, SpectaclConfig(r=1, d=8, epsilon=eps, seed=0))
     assert average_density_objective(cl, W) == pytest.approx(W.degrees().mean(), abs=1e-10)
@@ -92,8 +99,9 @@ def test_spectacl_deterministic():
 
 
 def test_spectacl_warns_when_d_below_r():
-    with pytest.warns(UserWarning, match="below the cluster count"):
+    with pytest.warns(UserWarning, match="below the cluster count") as record:
         SpectaclConfig(r=5, d=2)
+    assert record[0].filename == __file__
 
 
 def test_spectacl_rejects_bad_inputs():
@@ -110,11 +118,13 @@ def test_spectacl_rejects_bad_inputs():
 
 def test_isolated_points_warn_without_changing_labels():
     data = DataMatrix(np.random.default_rng(0).uniform(size=(600, 2)))
-    with pytest.warns(UserWarning, match="600 of 600 points have no neighbors"):
+    with pytest.warns(UserWarning, match="600 of 600 points have no neighbors") as record:
         cl = spectacl(data, SpectaclConfig(r=2, epsilon=1e-6))
+        edgeless = from_dense(np.zeros((600, 600)))
+        spectacl(edgeless, SpectaclConfig(r=2, variant="normalized"))
+        spectral_clustering(edgeless, 2)
     assert sorted(cl.sizes()) == [1, 599]
-    with pytest.warns(UserWarning, match="600 of 600 points have no neighbors"):
-        spectral_clustering(from_dense(np.zeros((600, 600))), 2)
+    assert [w.filename for w in record] == [__file__] * 3
 
 
 def test_connected_graph_does_not_warn():
@@ -222,16 +232,11 @@ def test_dbscan_equals_flood_fill_oracle(seed, m, kind, epsilon, min_pts):
         assert np.array_equal(got.labels, expect.labels)
 
 
-def assert_same_csr(a, b):
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a.matrix, attr), getattr(b.matrix, attr))
-
-
 def test_spectacl_result_carries_its_epsilon_graph():
     data, _ = generate(SyntheticSpec(shape="moons", m=150, noise=0.1, seed=3))
     result = spectacl(data, SpectaclConfig(r=2, d=15))
     assert isinstance(result, PipelineResult) and isinstance(result, Clustering)
-    assert result.epsilon == auto_epsilon(data)
+    assert result.epsilon == AUTO_EPSILON_SCALE * choose_epsilon(data)
     assert_same_csr(result.graph, epsilon_graph(data, result.epsilon))
     assert spectacl(data, SpectaclConfig(r=2, d=15, epsilon=0.3)).epsilon == 0.3
 
@@ -253,7 +258,7 @@ def test_graph_input_result_is_that_graph():
 
 def test_dbscan_default_epsilon_is_raw_coverage_quantile():
     data, _ = generate(SyntheticSpec(shape="circles", m=200, noise=0.05, seed=2))
-    radius = auto_epsilon(data, 1.0)
+    radius = choose_epsilon(data)
     auto = dbscan(data, DbscanConfig(min_pts=5))
     fixed = dbscan(data, DbscanConfig(epsilon=radius, min_pts=5))
     assert auto.epsilon == fixed.epsilon == radius
@@ -263,12 +268,12 @@ def test_dbscan_default_epsilon_is_raw_coverage_quantile():
 
 def test_auto_epsilon_needs_eleven_points():
     data, _ = generate(SyntheticSpec(shape="moons", m=10, noise=0.0, seed=0))
-    with pytest.raises(PipelineError, match="at least 11 points.*pass an epsilon"):
-        auto_epsilon(data)
+    with pytest.raises(GraphError, match="at least 11 points.*pass an epsilon"):
+        choose_epsilon(data)
     with pytest.raises(PipelineError, match="at least 11 points"):
         spectacl(data, SpectaclConfig(r=2, d=4))
     eleven, _ = generate(SyntheticSpec(shape="moons", m=11, noise=0.0, seed=0))
-    assert auto_epsilon(eleven) > 0
+    assert choose_epsilon(eleven) > 0
 
 
 _BOUNDED_RUN = """
