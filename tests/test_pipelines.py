@@ -124,7 +124,10 @@ def test_isolated_points_warn_without_changing_labels():
         spectacl(edgeless, SpectaclConfig(r=2, variant="normalized"))
         spectral_clustering(edgeless, 2)
     assert sorted(cl.sizes()) == [1, 599]
-    assert [w.filename for w in record] == [__file__] * 3
+    assert [
+        (w.filename, str(w.message).startswith("600 of 600 points have no neighbors"))
+        for w in record
+    ] == [(__file__, True)] * 3
 
 
 def test_connected_graph_does_not_warn():
@@ -248,6 +251,16 @@ def test_normalized_results_carry_the_normalized_knn_graph():
     for result in (normalized, spectral_clustering(data, 2, k=8)):
         assert result.epsilon is None
         assert_same_csr(result.graph, expected)
+
+
+def test_normalized_spectacl_reports_each_single_error():
+    W, _ = cliques_graph((3, 3))
+    with pytest.raises(GraphError, match="nonnegative"):
+        spectacl(W.add_scaled_identity(-1.0), SpectaclConfig(r=2, d=2, variant="normalized"))
+    with pytest.warns(UserWarning, match="below the cluster count"):
+        too_many = SpectaclConfig(r=7, d=2, variant="normalized")
+    with pytest.raises(PipelineError, match="r=7 exceeds the number of points 6"):
+        spectacl(W, too_many)
 
 
 def test_graph_input_result_is_that_graph():
