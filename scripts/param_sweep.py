@@ -1,16 +1,21 @@
-"""Parameter-sensitivity sweeps: F-measure against the embedding dimension,
-the ball radius, and the neighbor count, at a fixed noise level."""
+"""Sensitivity sweeps: F-measure against the generator noise, the embedding
+dimension, the ball radius and the neighbor count, one CSV and chart per
+shape and axis.
+
+Each sweep is one `cluster --sweep` run over the algorithms that consume its
+axis, so `--seed` seeds both the datasets and k-means."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from spectacl.cli import SweepSpec, run_sweep
-from spectacl.datagen import SyntheticSpec
+from spectacl.cli import main as cluster
 
 AXES = {
-    "d": (("spectacl", "spectacl-norm"), (2, 10, 25, 50, 75, 100)),
-    "epsilon": (("spectacl", "dbscan"), (0.1, 0.2, 0.3, 0.4, 0.6, 0.8)),
-    "k": (("spectacl-norm", "sc"), (2, 5, 10, 20, 40)),
+    "noise": "0,0.05,0.1,0.15,0.2",
+    "d": "2,10,25,50,75,100",
+    "epsilon": "0.1,0.2,0.3,0.4,0.6,0.8",
+    "k": "2,5,10,20,40",
 }
 
 
@@ -30,20 +35,19 @@ def main():
     for shape in args.shapes.split(","):
         r = 3 if shape == "blobs" else 2
         for axis in args.axes.split(","):
-            algorithms, values = AXES[axis]
-            spec = SweepSpec(
-                axis=axis,
-                values=values,
-                algorithms=algorithms,
-                base=SyntheticSpec(shape=shape, m=args.m, noise=args.noise, seed=args.seed),
-                repeats=args.repeats,
-                r=r,
-            )
             csv_path = out / f"{axis}_{shape}.csv"
             svg_path = out / f"{axis}_{shape}.svg"
-            run_sweep(spec, out=str(csv_path), plot=str(svg_path))
+            code = cluster([
+                "--gen", shape, "--m", str(args.m), "--noise", str(args.noise),
+                "--seed", str(args.seed), "-r", str(r), "--sweep", axis,
+                "--values", AXES[axis], "--repeats", str(args.repeats),
+                "--out", str(csv_path), "--plot", str(svg_path),
+            ])
+            if code:
+                return code
             print(f"{shape}/{axis}: wrote {csv_path} and {svg_path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,10 @@
 """Command-line harness: single clustering runs and parameter/noise sweeps.
 
 The pipelines build the graph and report it with its radius; the CLI only
-dispatches to them and scores the objective on the graph they return.
+dispatches to them and scores the objective on the graph they return.  A
+sweep axis is the dest of the argument it sweeps (`noise`, `epsilon`, `k`,
+`d`): each grid point is the parsed arguments of a single run with that one
+replaced, so a sweep clusters exactly as the matching single runs do.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error or invalid parameters.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,35 +46,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str
-    values: tuple
-    algorithms: tuple
-    base: SyntheticSpec
-    repeats: int = 5
-    r: int = 2
-    d: int = 50
-    knn: int = 10
-    min_pts: int = 10
-    epsilon: float | None = None  # None: auto per dataset
-    restarts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise UsageError(f"unknown sweep axis {self.axis!r}")
-        if not self.values:
-            raise UsageError("sweep needs at least one value")
-        if self.repeats < 1:
-            raise UsageError("repeats must be >= 1")
-        bad = [a for a in self.algorithms if a not in AXIS_ALGORITHMS[self.axis]]
-        if bad:
-            raise UsageError(
-                f"algorithms {bad} do not consume the swept parameter {self.axis!r}"
-            )
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cluster",
@@ -93,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "%s when sweeping (default: all for the axis)" % ",".join(ALGORITHMS))
     p.add_argument("-r", type=int, default=None, help="number of clusters")
     p.add_argument("-d", type=int, default=50, help="embedding dimension (default 50)")
-    p.add_argument("--eps", default="auto",
+    p.add_argument("--eps", default="auto", dest="epsilon",
                    help="ball radius, or 'auto' for the 90%%/10-neighbor rule (default auto)")
-    p.add_argument("--knn", type=int, default=10, help="nearest-neighbor count (default 10)")
+    p.add_argument("--knn", type=int, default=10, dest="k",
+                   help="nearest-neighbor count (default 10)")
     p.add_argument("--min-pts", type=int, default=10, dest="min_pts",
                    help="dbscan core threshold (default 10)")
     p.add_argument("--noise", type=float, default=0.1,
@@ -119,8 +93,9 @@ def main(argv=None) -> int:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         if not args.delimiter:
             raise UsageError("--delimiter must not be empty")
+        args.epsilon = _parse_eps(args.epsilon)
         if args.sweep:
-            run_sweep(build_sweep_spec(args), out=args.out, plot=args.plot)
+            run_sweep(args)
         else:
             run_cluster(args)
     except (UsageError, PipelineError, DataGenError) as exc:
@@ -166,21 +141,24 @@ def _load_input(args):
     return adjacency_from_edge_list(dataio.load_edge_list(args.graph)), None
 
 
-def _run_algorithm(name, source, *, r, d, knn, min_pts, epsilon, restarts, seed):
-    """The PipelineResult of the named algorithm on the points or the graph."""
+def _run_algorithm(name, source, args):
+    """The PipelineResult of the named algorithm on the points or the graph,
+    with the parameters of the parsed arguments `args`."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if name != "dbscan" and r is None:
+    if name != "dbscan" and args.r is None:
         raise UsageError(f"{name} requires -r")
     if name == "dbscan":
         if not isinstance(source, DataMatrix):
             raise UsageError("dbscan needs point data, not a graph")
-        return dbscan(source, DbscanConfig(epsilon=epsilon, min_pts=min_pts))
+        return dbscan(source, DbscanConfig(epsilon=args.epsilon, min_pts=args.min_pts))
     if name == "sc":
-        return spectral_clustering(source, r, k=knn, seed=seed, restarts=restarts)
+        return spectral_clustering(source, args.r, k=args.k, seed=args.seed,
+                                   restarts=args.restarts)
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"
     config = SpectaclConfig(
-        r=r, variant=variant, epsilon=epsilon, knn=knn, d=d, seed=seed, restarts=restarts
+        r=args.r, variant=variant, epsilon=args.epsilon, knn=args.k, d=args.d,
+        seed=args.seed, restarts=args.restarts,
     )
     return spectacl(source, config)
 
@@ -190,23 +168,20 @@ def run_cluster(args) -> None:
     algo = args.algo or "spectacl"
     if "," in algo:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
-    epsilon = _parse_eps(args.eps)
-    if epsilon is not None and (
+    if args.epsilon is not None and (
         not isinstance(source, DataMatrix) or algo not in AXIS_ALGORITHMS["epsilon"]
     ):
-        raise UsageError(f"--eps {args.eps} is unused: {algo} on this input builds no "
+        raise UsageError(f"--eps {args.epsilon:g} is unused: {algo} on this input builds no "
                          "epsilon graph")
+    if args.plot and not isinstance(source, DataMatrix):
+        raise UsageError("--plot needs point data")
     start = time.perf_counter()
-    clustering = _run_algorithm(
-        algo, source,
-        r=args.r, d=args.d, knn=args.knn, min_pts=args.min_pts,
-        epsilon=epsilon, restarts=args.restarts, seed=args.seed,
-    )
+    clustering = _run_algorithm(algo, source, args)
     runtime_ms = (time.perf_counter() - start) * 1000.0
 
     fields = [f"algorithm={algo}", f"m={clustering.m}", f"clusters={clustering.n_clusters}"]
     if clustering.epsilon is not None:
-        tag = " (auto)" if epsilon is None else ""
+        tag = " (auto)" if args.epsilon is None else ""
         fields.append(f"epsilon={clustering.epsilon:.6g}{tag}")
     objective = metrics.average_density_objective(clustering, clustering.graph)
     fields.append(f"objective={objective:.6g}")
@@ -221,13 +196,14 @@ def run_cluster(args) -> None:
     if args.out:
         dataio.write_clustering(args.out, clustering)
     if args.plot:
-        if not isinstance(source, DataMatrix):
-            raise UsageError("--plot needs point data")
         svg.scatter_svg(args.plot, source.values, clustering.labels,
                         title=f"{algo} ({clustering.n_clusters} clusters)")
 
 
-def build_sweep_spec(args) -> SweepSpec:
+def _sweep_grid(args):
+    """The (values, algorithms) of a `--sweep` run. The sweep's own arguments
+    and its base dataset are checked here, before any clustering or file
+    write."""
     if not args.gen:
         raise UsageError("--sweep requires --gen (sweeps run on generated data)")
     if not args.values:
@@ -240,22 +216,20 @@ def build_sweep_spec(args) -> SweepSpec:
         if any(v != int(v) for v in values):
             raise UsageError(f"axis {args.sweep!r} takes integer values")
         values = tuple(int(v) for v in values)
-    if args.algo:
-        algorithms = tuple(args.algo.split(","))
-        unknown = [a for a in algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise UsageError(f"unknown algorithms {unknown}, expected from {ALGORITHMS}")
-    else:
-        algorithms = AXIS_ALGORITHMS[args.sweep]
-    base = SyntheticSpec(shape=args.gen, m=args.m, noise=args.noise, seed=args.seed)
-    if any(a in ("spectacl", "spectacl-norm", "sc") for a in algorithms) and args.r is None:
+    if len(set(values)) != len(values):
+        raise UsageError(f"--values lists a value more than once: {args.values!r}")
+    algorithms = tuple(args.algo.split(",")) if args.algo else AXIS_ALGORITHMS[args.sweep]
+    bad = [a for a in algorithms if a not in AXIS_ALGORITHMS[args.sweep]]
+    if bad:
+        raise UsageError(f"algorithms {bad} do not consume the swept parameter {args.sweep!r}")
+    SyntheticSpec(shape=args.gen, m=args.m, noise=args.noise, seed=args.seed)
+    if args.r is None and any(a != "dbscan" for a in algorithms):
         raise UsageError("sweeping a spectral algorithm requires -r")
-    return SweepSpec(
-        axis=args.sweep, values=values, algorithms=algorithms, base=base,
-        repeats=args.repeats, r=args.r if args.r is not None else 2,
-        d=args.d, knn=args.knn, min_pts=args.min_pts,
-        epsilon=_parse_eps(args.eps), restarts=args.restarts, seed=args.seed,
-    )
+    if args.repeats < 1:
+        raise UsageError("repeats must be >= 1")
+    if args.out is None:
+        raise UsageError("--sweep requires --out FILE for the result table")
+    return values, algorithms
 
 
 def dataset_seed(base_seed: int, axis: str, axis_index: int, repeat: int) -> int:
@@ -272,78 +246,69 @@ def dataset_seed(base_seed: int, axis: str, axis_index: int, repeat: int) -> int
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def sweep_rows(spec: SweepSpec):
+def sweep_rows(args, values, algorithms):
     """Run the sweep grid; yields one row per (axis value, algorithm, repeat)."""
-    for axis_index, value in enumerate(spec.values):
-        for algo in spec.algorithms:
-            for repeat in range(spec.repeats):
-                noise = value if spec.axis == "noise" else spec.base.noise
-                gen_spec = SyntheticSpec(
-                    shape=spec.base.shape, m=spec.base.m, noise=noise,
-                    seed=dataset_seed(spec.base.seed, spec.axis, axis_index, repeat),
-                )
-                data, truth = generate(gen_spec)
-                d = value if spec.axis == "d" else spec.d
-                knn = value if spec.axis == "k" else spec.knn
-                eps = value if spec.axis == "epsilon" else spec.epsilon
+    for axis_index, value in enumerate(values):
+        point = argparse.Namespace(**{**vars(args), args.sweep: value})
+        for algo in algorithms:
+            for repeat in range(args.repeats):
+                data, truth = generate(SyntheticSpec(
+                    shape=args.gen, m=args.m, noise=point.noise,
+                    seed=dataset_seed(args.seed, args.sweep, axis_index, repeat),
+                ))
                 start = time.perf_counter()
-                clustering = _run_algorithm(
-                    algo, data,
-                    r=spec.r, d=d, knn=knn, min_pts=spec.min_pts,
-                    epsilon=eps, restarts=spec.restarts, seed=spec.seed,
-                )
+                clustering = _run_algorithm(algo, data, point)
                 runtime_ms = (time.perf_counter() - start) * 1000.0
                 f_val = metrics.f_measure(clustering, truth).total_f
                 nmi_val = metrics.nmi(clustering, truth)
-                yield (spec.axis, value, algo, repeat, f_val, nmi_val, runtime_ms)
+                yield (args.sweep, value, algo, repeat, f_val, nmi_val, runtime_ms)
 
 
 SWEEP_HEADER = ("axis", "axis_value", "algorithm", "repeat", "f_measure", "nmi", "runtime_ms")
 
 
-def run_sweep(spec: SweepSpec, out=None, plot=None) -> list[tuple]:
-    if out is None:
-        raise UsageError("--sweep requires --out FILE for the result table")
+def run_sweep(args) -> list[tuple]:
+    values, algorithms = _sweep_grid(args)
     rows = []
     try:
-        for row in sweep_rows(spec):
+        for row in sweep_rows(args, values, algorithms):
             rows.append(row)
     except Exception:
-        partial = rows + [(spec.axis, "", "incomplete", "", "", "", "")]
-        dataio.write_csv_table(out, SWEEP_HEADER, partial)
+        partial = rows + [(args.sweep, "", "incomplete", "", "", "", "")]
+        dataio.write_csv_table(args.out, SWEEP_HEADER, partial)
         raise
-    rows.extend(_aggregate_rows(spec, rows))
-    dataio.write_csv_table(out, SWEEP_HEADER, rows)
-    if plot:
-        _plot_sweep(spec, rows, plot)
+    rows.extend(_aggregate_rows(args.sweep, values, algorithms, rows))
+    dataio.write_csv_table(args.out, SWEEP_HEADER, rows)
+    if args.plot:
+        _plot_sweep(args, values, algorithms, rows)
     return rows
 
 
-def _aggregate_rows(spec: SweepSpec, rows):
+def _aggregate_rows(axis, values, algorithms, rows):
     extra = []
-    for value in spec.values:
-        for algo in spec.algorithms:
+    for value in values:
+        for algo in algorithms:
             sel = [r for r in rows if r[1] == value and r[2] == algo]
             fs = np.array([r[4] for r in sel])
             nmis = np.array([r[5] for r in sel])
             times = np.array([r[6] for r in sel])
-            extra.append((spec.axis, value, algo, "mean",
+            extra.append((axis, value, algo, "mean",
                           float(fs.mean()), float(nmis.mean()), float(times.mean())))
-            extra.append((spec.axis, value, algo, "std",
+            extra.append((axis, value, algo, "std",
                           float(fs.std()), float(nmis.std()), float(times.std())))
     return extra
 
 
-def _plot_sweep(spec: SweepSpec, rows, path):
+def _plot_sweep(args, values, algorithms, rows):
     series = {}
-    for algo in spec.algorithms:
+    for algo in algorithms:
         means = [r[4] for r in rows if r[2] == algo and r[3] == "mean"]
         stds = [r[4] for r in rows if r[2] == algo and r[3] == "std"]
         series[algo] = (means, stds)
     svg.line_chart_svg(
-        path, list(spec.values), series,
-        x_label=spec.axis, y_label="F-measure",
-        title=f"{spec.base.shape}: F vs {spec.axis} ({spec.repeats} repeats)",
+        args.plot, list(values), series,
+        x_label=args.sweep, y_label="F-measure",
+        title=f"{args.gen}: F vs {args.sweep} ({args.repeats} repeats)",
     )
 
 

@@ -121,6 +121,19 @@ def test_eps_without_epsilon_graph_is_usage_error(tmp_path, capsys, args):
     assert "builds no epsilon graph" in capsys.readouterr().err
 
 
+def test_plot_on_graph_is_usage_error_before_clustering(tmp_path, capsys):
+    edges = tmp_path / "graph.txt"
+    edges.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    out = tmp_path / "labels.csv"
+    code = run_cli(["--graph", str(edges), "--algo", "spectacl", "-r", "2",
+                    "--out", str(out), "--plot", str(tmp_path / "plot.svg")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot needs point data" in captured.err
+    assert not out.exists()
+
+
 def test_scatter_plot_svg(tmp_path):
     plot = tmp_path / "scatter.svg"
     code = run_cli([
@@ -223,6 +236,17 @@ def test_sweep_invalid_parameter_is_usage_error(tmp_path, capsys, args):
     ] + args)
     assert code == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_sweep_duplicate_values_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1,0.1",
+        "--repeats", "2", "--algo", "dbscan", "--out", str(out),
+    ])
+    assert code == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_axis_algorithm_mismatch(capsys):
