@@ -202,8 +202,8 @@ def run_cluster(args) -> None:
 
 def _sweep_grid(args):
     """The (values, algorithms) of a `--sweep` run. The sweep's own arguments
-    and its base dataset are checked here, before any clustering or file
-    write."""
+    and the dataset of every grid point are checked here, before any
+    clustering or file write."""
     if not args.gen:
         raise UsageError("--sweep requires --gen (sweeps run on generated data)")
     if not args.values:
@@ -212,6 +212,8 @@ def _sweep_grid(args):
         values = tuple(float(v) for v in args.values.split(","))
     except ValueError:
         raise UsageError(f"bad --values list: {args.values!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"--values must be finite numbers: {args.values!r}")
     if args.sweep in ("k", "d"):
         if any(v != int(v) for v in values):
             raise UsageError(f"axis {args.sweep!r} takes integer values")
@@ -222,7 +224,8 @@ def _sweep_grid(args):
     bad = [a for a in algorithms if a not in AXIS_ALGORITHMS[args.sweep]]
     if bad:
         raise UsageError(f"algorithms {bad} do not consume the swept parameter {args.sweep!r}")
-    SyntheticSpec(shape=args.gen, m=args.m, noise=args.noise, seed=args.seed)
+    for noise in values if args.sweep == "noise" else (args.noise,):
+        SyntheticSpec(shape=args.gen, m=args.m, noise=noise, seed=args.seed)
     if args.r is None and any(a != "dbscan" for a in algorithms):
         raise UsageError("sweeping a spectral algorithm requires -r")
     if args.repeats < 1:

@@ -6,6 +6,12 @@ streams are spawned from a single SeedSequence so results are reproducible
 bit-for-bit and independent of thread count.  Restart streams are prefix
 stable: kmeans(seed, restarts=R) explores exactly the first R spawned streams,
 so adding restarts can only improve the returned inertia.
+
+Each Lloyd assignment makes one BLAS product of the centroids with the data.
+That product only screens: it settles a point whose nearest centroid wins by
+more than a rounding bound, and the exact formula |x - c|^2, computed as
+before, decides every other point.  So the labels are those of the exact
+formula, whatever rounding the product's blocking or thread count gives.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ NOISE = -1
 
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
+
+# float64 rounding constants for the assignment screen's error bound
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 class ClusteringError(ValueError):
@@ -132,10 +142,11 @@ def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarra
 def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
     r = centers.shape[0]
     centers = centers.copy()
+    Xt = np.ascontiguousarray(X.T)
+    xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
     prev_labels = None
     for iterations in range(1, MAX_ITER + 1):
-        dist2 = np.column_stack([_sq_dist(X, c) for c in centers])
-        labels = np.argmin(dist2, axis=1)  # argmin takes the first minimum: lowest index wins ties
+        labels = _nearest(X, Xt, xnorm, centers)
         labels = _repair_empty(X, centers, labels)
         for i in range(r):
             centers[i] = X[labels == i].mean(axis=0)
@@ -152,6 +163,44 @@ def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
         inertia=inertia,
         iterations=iterations,
     )
+
+
+def _nearest(X, Xt, xnorm, centers):
+    """Index of each row's nearest centre, lowest index on ties: exactly what
+    np.argmin over the _sq_dist columns gives, since those decide every row
+    the screen leaves open.
+
+    Xt is X.T in C order and xnorm holds the row norms of X.  The screen
+    S[k, i] = |c_k|^2 - 2 c_k.x_i, one matrix product, is |x_i - c_k|^2 less
+    the row constant |x_i|^2.  Computed S and computed _sq_dist each err by at
+    most gamma_{n+3} (|x_i| + |c_k|)^2, plus an absolute term where they
+    underflow (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    So with tol_i = 4 gamma_{n+6} (|x_i| + max_k |c_k|)^2 plus that term, a
+    centre whose S exceeds the row's best by more than tol_i can neither be
+    nor tie the exact nearest.  The screen settles a row only when exactly one
+    centre lies within tol_i of its best.  NaN counts as near, and tol_i is
+    squared after doubling, so it is infinite on every row where S could
+    overflow.
+    """
+    m, n = X.shape
+    gamma = (n + 6) * _UNIT_ROUNDOFF / (1 - (n + 6) * _UNIT_ROUNDOFF)
+    labels = np.zeros(m, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows it overflows are rechecked
+        csq = np.einsum("ij,ij->i", centers, centers)
+        screen = (-2.0 * centers) @ Xt
+        screen += csq[:, None]
+        best = screen[0].copy()
+        for k in range(1, centers.shape[0]):
+            labels[screen[k] < best] = k  # strict: the lowest index keeps a tie
+            np.minimum(best, screen[k], out=best)
+        tol = gamma * (2.0 * (xnorm + np.sqrt(csq.max()))) ** 2 + 4 * (n + 6) * _SUBNORMAL
+        near = np.count_nonzero(~(screen > best + tol), axis=0)
+    recheck = np.flatnonzero(near != 1)
+    if recheck.size:
+        rows = X[recheck]
+        dist2 = np.column_stack([_sq_dist(rows, c) for c in centers])
+        labels[recheck] = np.argmin(dist2, axis=1)  # the first minimum: lowest index wins ties
+    return labels
 
 
 def _repair_empty(X, centers, labels):

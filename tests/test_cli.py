@@ -249,6 +249,30 @@ def test_sweep_duplicate_values_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values", [("d", "nan"), ("k", "10,inf"), ("noise", "0.1,nan"),
+                                          ("epsilon", "0.2,-inf")])
+def test_sweep_nonfinite_values_is_usage_error(tmp_path, capsys, axis, values):
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", axis, "--values", values,
+        "--repeats", "1", "-r", "2", "--out", str(out),
+    ])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_checks_every_noise_value_before_clustering(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1,-0.1",
+        "--repeats", "1", "--algo", "dbscan", "--out", str(out),
+    ])
+    assert code == 2
+    assert "noise must be a nonnegative real" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_axis_algorithm_mismatch(capsys):
     code = run_cli([
         "--gen", "moons", "--m", "60", "--sweep", "epsilon", "--values", "0.1,0.2",

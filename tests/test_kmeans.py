@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,61 @@ def test_kmeans_matches_reference(seed, kind, r, restarts):
         X = lattice_points(rng, m, int(rng.integers(2, 4)))
     want, _ = reference_kmeans(X, r, restarts=restarts, seed=seed)
     assert_same_result(kmeans(X, r, restarts=restarts, seed=seed), want)
+
+
+# Inputs on which the one-product screen of the assignment step is inaccurate
+# or not finite, so only the exact recheck reproduces the reference labels: an
+# offset cancels most of |c|^2 - 2 c.x, an offset near 2^512 overflows it and
+# tiny scales take it into subnormal numbers.  Without a tolerance the screen
+# fails the 2^24 and 2^511 offsets; without its absolute term, the 2^-538 scale.
+ILL_SCALED = [
+    pytest.param(2.0**24, 1.0, id="offset-2^24"),
+    pytest.param(2.0**511, 2.0**490, id="offset-2^511"),
+    pytest.param(0.0, 2.0**500, id="scale-2^500"),
+    pytest.param(0.0, 2.0**-500, id="scale-2^-500"),
+    pytest.param(0.0, 2.0**-538, id="scale-2^-538"),
+]
+
+
+@pytest.mark.parametrize("shift, scale", ILL_SCALED)
+def test_kmeans_matches_reference_on_ill_scaled_points(shift, scale):
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        m, r = int(rng.integers(20, 60)), int(rng.integers(2, 7))
+        if seed % 2:
+            X = rng.standard_normal((m, int(rng.integers(1, 5))))
+        else:
+            X = lattice_points(rng, m, 4)
+        X = X * scale + shift
+        want, _ = reference_kmeans(X, r, restarts=2, seed=seed)
+        assert_same_result(kmeans(X, r, restarts=2, seed=seed), want)
+
+
+_THREADED_RUN = """
+import hashlib
+import numpy as np
+from spectacl import kmeans
+rng = np.random.default_rng(0)
+centres = 3.0 * rng.standard_normal((15, 50))
+X = centres[rng.integers(15, size=3000)] + rng.standard_normal((3000, 50))
+res = kmeans(X, 15, seed=0)
+digest = hashlib.sha256()
+for part in (res.clustering.labels, res.centroids, np.float64(res.inertia), np.int64(res.iterations)):
+    digest.update(np.ascontiguousarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kmeans_result_bytes_independent_of_blas_threads():
+    src = str(Path(kmeans_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUN], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_lattice_inputs_reach_repair():
