@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -201,9 +202,9 @@ def run_cluster(args) -> None:
 
 
 def _sweep_grid(args):
-    """The (values, algorithms) of a `--sweep` run. The sweep's own arguments
-    and the dataset of every grid point are checked here, before any
-    clustering or file write."""
+    """The (values, algorithms) of a `--sweep` run. The sweep's own arguments,
+    the dataset of every grid point and the range of every swept value are
+    checked here, before any clustering or file write."""
     if not args.gen:
         raise UsageError("--sweep requires --gen (sweeps run on generated data)")
     if not args.values:
@@ -228,6 +229,15 @@ def _sweep_grid(args):
         SyntheticSpec(shape=args.gen, m=args.m, noise=noise, seed=args.seed)
     if args.r is None and any(a != "dbscan" for a in algorithms):
         raise UsageError("sweeping a spectral algorithm requires -r")
+    for value in values:
+        if args.sweep == "epsilon":
+            DbscanConfig(epsilon=value)
+        elif args.sweep == "d":
+            with warnings.catch_warnings():  # each run warns about d < r itself
+                warnings.simplefilter("ignore")
+                SpectaclConfig(r=args.r, d=value)
+        elif args.sweep == "k" and not 1 <= value < args.m:
+            raise UsageError(f"need 1 <= k < m, got k={value}, m={args.m}")
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
     if args.out is None:

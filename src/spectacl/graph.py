@@ -39,8 +39,7 @@ class GraphError(ValueError):
 class SparseSymmetricMatrix:
     """Symmetric real matrix in CSR storage.
 
-    Adjacency matrices built by this module additionally have a zero diagonal;
-    shifted matrices (e.g. c*I + W) may carry diagonal entries.
+    Adjacency matrices built by this module additionally have a zero diagonal.
     """
 
     matrix: sp.csr_matrix
@@ -70,12 +69,6 @@ class SparseSymmetricMatrix:
     def degrees(self) -> np.ndarray:
         """Row sums (weighted node degrees)."""
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def add_scaled_identity(self, c: float) -> "SparseSymmetricMatrix":
-        """Return c*I + self."""
-        return SparseSymmetricMatrix(
-            (sp.identity(self.dim, format="csr") * c + self.matrix).tocsr()
-        )
 
 
 def _distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ the normalized variant builds a symmetrized kNN graph and degree-normalizes
 it.
 
 spectral_clustering: the classical baseline on the same kNN graph; the r
-bottom eigenvectors of the normalized Laplacian (computed as top pairs of the
-shifted matrix I + W_normalized), all kept, k-means on the rows.  Keeping all
-r columns matters on disconnected graphs: with c = r components the embedding
-is then exactly the Laplacian kernel, whose rows are constant per component,
-so component recovery is exact; dropping a column in favor of an (r+1)-th one
-would admit a within-component eigenvector instead.
+bottom eigenvectors of the normalized Laplacian L = I - W_normalized, all
+kept, k-means on the rows.  Keeping all r columns matters on disconnected
+graphs: with c = r components the embedding is then exactly L's kernel,
+whose vector for component C is sqrt(deg_j / vol C) on node j of C and zero
+elsewhere, so every row has a single nonzero coordinate, the one of its
+component, and component recovery is exact; dropping a column in favor of an
+(r+1)-th one would admit a within-component eigenvector instead.  With c > r
+the r largest components by volume are kept (eigen.laplacian_eigs).
 
 dbscan: core points are those with at least min_pts other points strictly
 inside the epsilon ball (the point itself never counts, coincident points do);
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .dataio import DataMatrix
-from .eigen import truncated_eigs
+from .eigen import laplacian_eigs, truncated_eigs
 from .embedding import project_embedding
 from .graph import (
     GraphError,
@@ -183,9 +185,11 @@ def spectral_clustering(
 ) -> PipelineResult:
     """Normalized-Laplacian spectral clustering baseline.
 
-    Eigenvectors for the r smallest Laplacian eigenvalues come from the top of
-    the shifted matrix I + W_normalized (same eigenvectors, reversed order);
-    k-means runs on all r columns.
+    The eigenvectors of the r smallest eigenvalues of L = I - W_normalized
+    come from eigen.laplacian_eigs: one exact null vector per connected
+    component with edges, largest volume first, then a solve for the rest;
+    k-means runs on all r columns.  Isolated points get zero rows, unless the
+    rest of the graph has fewer than r pairs (as on an edgeless graph).
     """
     if r < 2:
         raise PipelineError(f"need r >= 2, got {r}")
@@ -193,7 +197,7 @@ def spectral_clustering(
         raise PipelineError(f"need restarts >= 1, got {restarts}")
     W, _ = _spectral_graph(data_or_graph, lambda data: (knn_graph(data, k), None), r)
     normalized = symmetric_normalize(W)
-    pairs = truncated_eigs(normalized.add_scaled_identity(1.0), r)
+    pairs = laplacian_eigs(W, normalized, r)
     clustering = kmeans(pairs.vectors, r, restarts=restarts, seed=seed).clustering
     return PipelineResult(clustering.labels, clustering.n_clusters, normalized, None)
 

@@ -273,6 +273,24 @@ def test_sweep_checks_every_noise_value_before_clustering(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, message", [
+    ("epsilon", "0.2,-0.1", "epsilon must be positive"),
+    ("d", "0", "need d >= 1"),
+    ("k", "0", "need 1 <= k < m"),
+    ("k", "10,60", "need 1 <= k < m"),
+], ids=["epsilon-negative", "d-zero", "k-zero", "k-equals-m"])
+def test_sweep_checks_every_value_range_before_clustering(tmp_path, capsys, axis, values,
+                                                          message):
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", axis, "--values", values,
+        "--repeats", "1", "-r", "2", "--out", str(out),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_axis_algorithm_mismatch(capsys):
     code = run_cli([
         "--gen", "moons", "--m", "60", "--sweep", "epsilon", "--values", "0.1,0.2",

@@ -1,12 +1,17 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectacl import eigen
 from spectacl.dataio import DataMatrix
-from spectacl.eigen import EigenPairs, EigenSolverError, truncated_eigs
-from spectacl.graph import SparseSymmetricMatrix, epsilon_graph
+from spectacl.eigen import EigenPairs, EigenSolverError, laplacian_eigs, truncated_eigs
+from spectacl.graph import SparseSymmetricMatrix, epsilon_graph, symmetric_normalize
 
 from conftest import cliques_graph, from_dense, full_dense_eigs
 
@@ -203,3 +208,131 @@ def test_eigenpairs_validation():
         EigenPairs(values=np.array([1.0, 2.0]), vectors=np.eye(2))
     with pytest.raises(EigenSolverError, match="unit"):
         EigenPairs(values=np.array([2.0, 1.0]), vectors=2 * np.eye(2))
+
+
+def block_graph(seed, sizes, weighted):
+    """Shuffled block-diagonal graph: each block of two or more nodes is a
+    connected component (a random path plus random extra edges, weights 1 or
+    uniform in [0.5, 2]), each block of one node is isolated.  Returns the
+    graph and the node sets of its components."""
+    rng = np.random.default_rng(seed)
+    m = sum(sizes)
+    perm = rng.permutation(m)
+    A = np.zeros((m, m))
+    blocks, off = [], 0
+    for s in sizes:
+        nodes = perm[off : off + s]
+        off += s
+        if s == 1:
+            continue
+        mask = np.triu(rng.random((s, s)) < 0.4, 1)
+        mask[np.arange(s - 1), np.arange(1, s)] = True
+        weight = rng.uniform(0.5, 2.0, (s, s)) if weighted else np.ones((s, s))
+        block = np.where(mask, weight, 0.0)
+        A[np.ix_(nodes, nodes)] = block + block.T
+        blocks.append(nodes)
+    return from_dense(A), blocks
+
+
+def dense_laplacian_pairs(W):
+    """Oracle for laplacian_eigs, in the order it chooses pairs: all
+    eigenpairs of I + N on the nodes with edges (zero elsewhere) by
+    descending value, then value 1 with the unit vector of each isolated node
+    in index order.  Returns (values, vectors, number of nodes with edges)."""
+    m = W.dim
+    edged = np.flatnonzero(W.degrees() > 0)
+    isolated = np.flatnonzero(W.degrees() == 0)
+    M = np.eye(edged.size) + symmetric_normalize(W).to_dense()[np.ix_(edged, edged)]
+    w, V = np.linalg.eigh(M)
+    vectors = np.zeros((m, m))
+    vectors[edged, : edged.size] = V[:, ::-1]
+    vectors[isolated, edged.size + np.arange(isolated.size)] = 1.0
+    return np.concatenate([w[::-1], np.ones(isolated.size)]), vectors, edged.size
+
+
+@pytest.mark.parametrize("fallback", [0, eigen.DENSE_FALLBACK_DIM], ids=["iterative", "default"])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 14), min_size=1, max_size=8),
+    st.booleans(),
+    st.data(),
+)
+def test_laplacian_eigs_match_dense_oracle(fallback, seed, sizes, weighted, data):
+    W, blocks = block_graph(seed, sizes, weighted)
+    m, c = W.dim, len(blocks)
+    r = data.draw(st.integers(1, m), label="r")
+    with mock.patch.object(eigen, "DENSE_FALLBACK_DIM", fallback), \
+            warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        got = laplacian_eigs(W, symmetric_normalize(W), r)
+    assert [str(w.message) for w in record] == (
+        [f"the graph has {c} connected components with edges, more than r={r}; "
+         f"the embedding keeps the {r} largest by volume"] if c > r else []
+    )
+
+    # the null vectors, D^(1/2) 1_C / sqrt(vol C), by volume and lowest member
+    deg = W.degrees()
+    blocks.sort(key=lambda nodes: (-deg[nodes].sum(), nodes.min()))
+    for i, nodes in enumerate(blocks[:r]):
+        expect = np.zeros(m)
+        expect[nodes] = np.sqrt(deg[nodes] / deg[nodes].sum())
+        assert got.values[i] == 2.0
+        assert np.allclose(got.vectors[:, i], expect, rtol=0, atol=1e-12)
+
+    L = np.eye(m) - symmetric_normalize(W).to_dense()
+    residuals = np.linalg.norm(L @ got.vectors - got.vectors * (2.0 - got.values), axis=0)
+    assert residuals.max() <= 2 * eigen.RESIDUAL_TOL
+    assert np.abs(got.vectors.T @ got.vectors - np.eye(r)).max() <= 1e-8
+    values, vectors, edged = dense_laplacian_pairs(W)
+    if r <= edged:
+        assert not got.vectors[deg == 0].any()
+
+    # Lanczos sees one direction per distinct eigenvalue, so past the null
+    # space the iterative path may drop copies of a repeated eigenvalue
+    solved = values[min(c, r) : min(r + 1, edged)]
+    if fallback == 0 and np.any(np.diff(solved) > -1e-6):
+        return
+    assert np.allclose(got.values, np.sort(values[:r])[::-1], rtol=0, atol=1e-8)
+    # projectors up to the last spectral gap at or before r: within a
+    # repeated eigenvalue any orthonormal basis may come back.  Past the
+    # nodes with edges every pair is taken, and the order is by value.
+    cut = max(j for j in range(r + 1)
+              if j == 0 or j >= edged or values[j - 1] - values[j] > 1e-6)
+    assert np.allclose(got.vectors[:, :cut] @ got.vectors[:, :cut].T,
+                       vectors[:, :cut] @ vectors[:, :cut].T, rtol=0, atol=1e-7)
+
+
+def test_laplacian_eigs_without_edges_solves_nothing(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an edgeless graph needs no eigensolve")
+
+    monkeypatch.setattr(eigen, "eigsh", no_solve)
+    monkeypatch.setattr(eigen, "splu", no_solve)
+    W = SparseSymmetricMatrix(sp.csr_matrix((20000, 20000)))
+    pairs = laplacian_eigs(W, symmetric_normalize(W), 3)
+    assert np.array_equal(pairs.values, np.ones(3))
+    assert np.array_equal(pairs.vectors, np.eye(20000, 3))
+
+
+def test_laplacian_eigs_solver_failure_is_eigen_solver_error(monkeypatch, no_dense_fallback):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((60, 0)))
+
+    monkeypatch.setattr(eigen, "eigsh", no_convergence)
+    W, _ = cliques_graph((30, 30))
+    with pytest.raises(EigenSolverError, match="ARPACK"):
+        laplacian_eigs(W, symmetric_normalize(W), 3)
+
+
+def test_laplacian_eigs_checks_residuals(monkeypatch, no_dense_fallback):
+    def inaccurate(L, k, **kwargs):
+        vals, vecs = np.linalg.eigh(L @ np.eye(L.shape[0]))
+        return vals[1 : k + 1], vecs[:, 1 : k + 1] + 1e-6
+
+    monkeypatch.setattr(eigen, "eigsh", inaccurate)
+    W, _ = cliques_graph((6, 5, 4, 3))
+    W = from_dense(W.to_dense() + np.diag(np.ones(17), 1) + np.diag(np.ones(17), -1))
+    with pytest.raises(EigenSolverError, match="did not reach") as info:
+        laplacian_eigs(W, symmetric_normalize(W), 3)
+    assert info.value.residual > eigen.RESIDUAL_TOL

@@ -272,9 +272,3 @@ def test_sparse_matrix_rejects_asymmetry():
     A = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(GraphError, match="symmetric"):
         from_dense(A)
-
-
-def test_sparse_matrix_add_scaled_identity():
-    W = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    shifted = W.add_scaled_identity(2.0).to_dense()
-    assert np.array_equal(shifted, [[2.0, 1.0], [1.0, 2.0]])

@@ -153,6 +153,43 @@ def test_spectral_clustering_disconnected_components_exact():
         assert f_measure(cl, truth).total_f == 1.0
 
 
+def test_spectral_clustering_splits_disconnected_moons_exactly():
+    # 2 components at m > DENSE_FALLBACK_DIM: a Lanczos solve for the top of
+    # I + N kept one copy of the eigenvalue 2 here and scored F = 0.674
+    data, truth = generate(SyntheticSpec(shape="moons", m=1500, noise=0.0, seed=3))
+    assert f_measure(spectral_clustering(data, 2), truth).total_f == 1.0
+
+
+def test_spectral_clustering_keeps_largest_components_with_warning():
+    W, _ = cliques_graph((3, 5, 4))
+    with pytest.warns(UserWarning) as record:
+        cl = spectral_clustering(W, 2, seed=0)
+    assert [(w.filename, str(w.message)) for w in record] == [(
+        __file__,
+        "the graph has 3 connected components with edges, more than r=2; "
+        "the embedding keeps the 2 largest by volume",
+    )]
+    # the 5- and 4-cliques get their own clusters; the 3-clique's embedding
+    # rows are zero, so it joins one of them
+    assert cl.labels[3:8].tolist() == [cl.labels[3]] * 5
+    assert cl.labels[8:].tolist() == [cl.labels[8]] * 4
+    assert cl.labels[3] != cl.labels[8]
+
+
+def test_edgeless_spectral_clustering_warns_once_and_is_deterministic():
+    edgeless = from_dense(np.zeros((600, 600)))
+    runs = []
+    for _ in range(2):
+        with pytest.warns(UserWarning) as record:
+            runs.append(spectral_clustering(edgeless, 2))
+        assert [str(w.message) for w in record] == [
+            "600 of 600 points have no neighbors in the graph, "
+            "so their cluster labels are arbitrary"
+        ]
+    assert runs[0].n_clusters == 2
+    assert np.array_equal(runs[0].labels, runs[1].labels)
+
+
 def test_spectral_clustering_trails_density_pipeline_on_circles():
     data, truth = generate(SyntheticSpec(shape="circles", m=600, noise=0.1, seed=2))
     f_sc = f_measure(spectral_clustering(data, 2, k=10, seed=0), truth).total_f
@@ -255,8 +292,9 @@ def test_normalized_results_carry_the_normalized_knn_graph():
 
 def test_normalized_spectacl_reports_each_single_error():
     W, _ = cliques_graph((3, 3))
+    negative_diagonal = from_dense(W.to_dense() - np.eye(6))
     with pytest.raises(GraphError, match="nonnegative"):
-        spectacl(W.add_scaled_identity(-1.0), SpectaclConfig(r=2, d=2, variant="normalized"))
+        spectacl(negative_diagonal, SpectaclConfig(r=2, d=2, variant="normalized"))
     with pytest.warns(UserWarning, match="below the cluster count"):
         too_many = SpectaclConfig(r=7, d=2, variant="normalized")
     with pytest.raises(PipelineError, match="r=7 exceeds the number of points 6"):
