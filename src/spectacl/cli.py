@@ -4,7 +4,10 @@ The pipelines build the graph and report it with its radius; the CLI only
 dispatches to them and scores the objective on the graph they return.  A
 sweep axis is the dest of the argument it sweeps (`noise`, `epsilon`, `k`,
 `d`): each grid point is the parsed arguments of a single run with that one
-replaced, so a sweep clusters exactly as the matching single runs do.
+replaced.  A sweep is single-run calls: the call of every (grid point,
+algorithm) is built and checked before the first clustering, then run and
+scored by the code of a single run.  Usage errors write no CSV; a runtime
+failure writes the rows so far and a closing `incomplete` row.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error or invalid parameters.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -142,26 +144,40 @@ def _load_input(args):
     return adjacency_from_edge_list(dataio.load_edge_list(args.graph)), None
 
 
-def _run_algorithm(name, source, args):
-    """The PipelineResult of the named algorithm on the points or the graph,
-    with the parameters of the parsed arguments `args`."""
+def _build_run(name, args):
+    """The call that clusters points or a graph with the named algorithm and
+    the parameters of the parsed arguments `args`.  Every check the run's
+    config makes is made here, before any clustering.  The pipeline is looked
+    up in this module when the call runs, so a wrapper patched onto its name
+    after import (as benchmark/tracer.py does) is the one called."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if name != "dbscan" and args.r is None:
-        raise UsageError(f"{name} requires -r")
     if name == "dbscan":
-        if not isinstance(source, DataMatrix):
-            raise UsageError("dbscan needs point data, not a graph")
-        return dbscan(source, DbscanConfig(epsilon=args.epsilon, min_pts=args.min_pts))
+        config = DbscanConfig(epsilon=args.epsilon, min_pts=args.min_pts)
+        return lambda source: dbscan(source, config)
+    if args.r is None:
+        raise UsageError(f"{name} requires -r")
     if name == "sc":
-        return spectral_clustering(source, args.r, k=args.k, seed=args.seed,
-                                   restarts=args.restarts)
+        return lambda source: spectral_clustering(source, args.r, k=args.k, seed=args.seed,
+                                                  restarts=args.restarts)
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"
     config = SpectaclConfig(
         r=args.r, variant=variant, epsilon=args.epsilon, knn=args.k, d=args.d,
         seed=args.seed, restarts=args.restarts,
     )
-    return spectacl(source, config)
+    return lambda source: spectacl(source, config)
+
+
+def _run_and_score(run, source, truth):
+    """(clustering, runtime_ms, F, NMI) of run(source); F and NMI are None
+    without ground truth."""
+    start = time.perf_counter()
+    clustering = run(source)
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    if truth is None:
+        return clustering, runtime_ms, None, None
+    return (clustering, runtime_ms, metrics.f_measure(clustering, truth).total_f,
+            metrics.nmi(clustering, truth))
 
 
 def run_cluster(args) -> None:
@@ -169,16 +185,18 @@ def run_cluster(args) -> None:
     algo = args.algo or "spectacl"
     if "," in algo:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
-    if args.epsilon is not None and (
-        not isinstance(source, DataMatrix) or algo not in AXIS_ALGORITHMS["epsilon"]
-    ):
+    run = _build_run(algo, args)
+    points = isinstance(source, DataMatrix)
+    if args.epsilon is not None and (not points or algo not in AXIS_ALGORITHMS["epsilon"]):
         raise UsageError(f"--eps {args.epsilon:g} is unused: {algo} on this input builds no "
                          "epsilon graph")
-    if args.plot and not isinstance(source, DataMatrix):
+    if algo == "dbscan" and not points:
+        raise UsageError("dbscan needs point data, not a graph")
+    if args.plot and not points:
         raise UsageError("--plot needs point data")
-    start = time.perf_counter()
-    clustering = _run_algorithm(algo, source, args)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
+    if args.plot and source.n < 2:
+        raise UsageError(f"--plot needs at least two coordinates per point, got {source.n}")
+    clustering, runtime_ms, f_val, nmi_val = _run_and_score(run, source, truth)
 
     fields = [f"algorithm={algo}", f"m={clustering.m}", f"clusters={clustering.n_clusters}"]
     if clustering.epsilon is not None:
@@ -187,8 +205,8 @@ def run_cluster(args) -> None:
     objective = metrics.average_density_objective(clustering, clustering.graph)
     fields.append(f"objective={objective:.6g}")
     if truth is not None:
-        fields.append(f"F={metrics.f_measure(clustering, truth).total_f:.6g}")
-        fields.append(f"NMI={metrics.nmi(clustering, truth):.6g}")
+        fields.append(f"F={f_val:.6g}")
+        fields.append(f"NMI={nmi_val:.6g}")
     if clustering.has_noise:
         fields.append(f"noise_points={int(np.sum(clustering.labels == -1))}")
     fields.append(f"runtime_ms={runtime_ms:.1f}")
@@ -202,9 +220,11 @@ def run_cluster(args) -> None:
 
 
 def _sweep_grid(args):
-    """The (values, algorithms) of a `--sweep` run. The sweep's own arguments,
-    the dataset of every grid point and the range of every swept value are
-    checked here, before any clustering or file write."""
+    """The (values, algorithms, grid) of a `--sweep` run: grid[i] is the
+    parsed arguments of values[i]'s single runs, with the call of each
+    algorithm.  The sweep's own arguments, the dataset and `k` of every grid
+    point and every call are checked here, so a swept and a fixed value fail
+    alike, before any clustering or file write."""
     if not args.gen:
         raise UsageError("--sweep requires --gen (sweeps run on generated data)")
     if not args.values:
@@ -225,24 +245,19 @@ def _sweep_grid(args):
     bad = [a for a in algorithms if a not in AXIS_ALGORITHMS[args.sweep]]
     if bad:
         raise UsageError(f"algorithms {bad} do not consume the swept parameter {args.sweep!r}")
-    for noise in values if args.sweep == "noise" else (args.noise,):
-        SyntheticSpec(shape=args.gen, m=args.m, noise=noise, seed=args.seed)
-    if args.r is None and any(a != "dbscan" for a in algorithms):
-        raise UsageError("sweeping a spectral algorithm requires -r")
-    for value in values:
-        if args.sweep == "epsilon":
-            DbscanConfig(epsilon=value)
-        elif args.sweep == "d":
-            with warnings.catch_warnings():  # each run warns about d < r itself
-                warnings.simplefilter("ignore")
-                SpectaclConfig(r=args.r, d=value)
-        elif args.sweep == "k" and not 1 <= value < args.m:
-            raise UsageError(f"need 1 <= k < m, got k={value}, m={args.m}")
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
     if args.out is None:
         raise UsageError("--sweep requires --out FILE for the result table")
-    return values, algorithms
+    points = [argparse.Namespace(**{**vars(args), args.sweep: value}) for value in values]
+    # knn_graph checks k against the data, so no config owns this check
+    uses_k = any(a in AXIS_ALGORITHMS["k"] for a in algorithms)
+    for point in points:
+        SyntheticSpec(shape=args.gen, m=args.m, noise=point.noise, seed=args.seed)
+        if uses_k and not 1 <= point.k < args.m:
+            raise UsageError(f"need 1 <= k < m, got k={point.k}, m={args.m}")
+    grid = [(point, [_build_run(a, point) for a in algorithms]) for point in points]
+    return values, algorithms, grid
 
 
 def dataset_seed(base_seed: int, axis: str, axis_index: int, repeat: int) -> int:
@@ -259,70 +274,49 @@ def dataset_seed(base_seed: int, axis: str, axis_index: int, repeat: int) -> int
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def sweep_rows(args, values, algorithms):
-    """Run the sweep grid; yields one row per (axis value, algorithm, repeat)."""
-    for axis_index, value in enumerate(values):
-        point = argparse.Namespace(**{**vars(args), args.sweep: value})
-        for algo in algorithms:
-            for repeat in range(args.repeats):
-                data, truth = generate(SyntheticSpec(
-                    shape=args.gen, m=args.m, noise=point.noise,
-                    seed=dataset_seed(args.seed, args.sweep, axis_index, repeat),
-                ))
-                start = time.perf_counter()
-                clustering = _run_algorithm(algo, data, point)
-                runtime_ms = (time.perf_counter() - start) * 1000.0
-                f_val = metrics.f_measure(clustering, truth).total_f
-                nmi_val = metrics.nmi(clustering, truth)
-                yield (args.sweep, value, algo, repeat, f_val, nmi_val, runtime_ms)
-
-
 SWEEP_HEADER = ("axis", "axis_value", "algorithm", "repeat", "f_measure", "nmi", "runtime_ms")
 
 
 def run_sweep(args) -> list[tuple]:
-    values, algorithms = _sweep_grid(args)
+    """Run the sweep grid and write its CSV: one row per (axis value,
+    algorithm, repeat), then a mean and a std row per (axis value, algorithm)."""
+    values, algorithms, grid = _sweep_grid(args)
     rows = []
     try:
-        for row in sweep_rows(args, values, algorithms):
-            rows.append(row)
+        for axis_index, (value, (point, runs)) in enumerate(zip(values, grid)):
+            datasets = [generate(SyntheticSpec(
+                shape=args.gen, m=args.m, noise=point.noise,
+                seed=dataset_seed(args.seed, args.sweep, axis_index, repeat),
+            )) for repeat in range(args.repeats)]
+            for algo, run in zip(algorithms, runs):
+                for repeat, (data, truth) in enumerate(datasets):
+                    _, runtime_ms, f_val, nmi_val = _run_and_score(run, data, truth)
+                    rows.append((args.sweep, value, algo, repeat, f_val, nmi_val, runtime_ms))
+    except (UsageError, PipelineError, DataGenError):
+        raise
     except Exception:
         partial = rows + [(args.sweep, "", "incomplete", "", "", "", "")]
         dataio.write_csv_table(args.out, SWEEP_HEADER, partial)
         raise
-    rows.extend(_aggregate_rows(args.sweep, values, algorithms, rows))
+    # (values, algorithms, columns, repeats): each block is reduced along its
+    # contiguous last axis, so in the order np.mean and np.std of it would be
+    blocks = np.array([row[4:] for row in rows]).reshape(
+        len(values), len(algorithms), args.repeats, 3).transpose(0, 1, 3, 2).copy()
+    means, stds = blocks.mean(axis=3), blocks.std(axis=3)
+    for i, value in enumerate(values):
+        for j, algo in enumerate(algorithms):
+            rows.append((args.sweep, value, algo, "mean", *means[i, j].tolist()))
+            rows.append((args.sweep, value, algo, "std", *stds[i, j].tolist()))
     dataio.write_csv_table(args.out, SWEEP_HEADER, rows)
     if args.plot:
-        _plot_sweep(args, values, algorithms, rows)
+        series = {algo: (means[:, j, 0].tolist(), stds[:, j, 0].tolist())
+                  for j, algo in enumerate(algorithms)}
+        svg.line_chart_svg(
+            args.plot, list(values), series,
+            x_label=args.sweep, y_label="F-measure",
+            title=f"{args.gen}: F vs {args.sweep} ({args.repeats} repeats)",
+        )
     return rows
-
-
-def _aggregate_rows(axis, values, algorithms, rows):
-    extra = []
-    for value in values:
-        for algo in algorithms:
-            sel = [r for r in rows if r[1] == value and r[2] == algo]
-            fs = np.array([r[4] for r in sel])
-            nmis = np.array([r[5] for r in sel])
-            times = np.array([r[6] for r in sel])
-            extra.append((axis, value, algo, "mean",
-                          float(fs.mean()), float(nmis.mean()), float(times.mean())))
-            extra.append((axis, value, algo, "std",
-                          float(fs.std()), float(nmis.std()), float(times.std())))
-    return extra
-
-
-def _plot_sweep(args, values, algorithms, rows):
-    series = {}
-    for algo in algorithms:
-        means = [r[4] for r in rows if r[2] == algo and r[3] == "mean"]
-        stds = [r[4] for r in rows if r[2] == algo and r[3] == "std"]
-        series[algo] = (means, stds)
-    svg.line_chart_svg(
-        args.plot, list(values), series,
-        x_label=args.sweep, y_label="F-measure",
-        title=f"{args.gen}: F vs {args.sweep} ({args.repeats} repeats)",
-    )
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
+import csv
 import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from spectacl import graph
+from spectacl import cli, graph
 from spectacl.cli import main
 
 
@@ -131,6 +132,19 @@ def test_plot_on_graph_is_usage_error_before_clustering(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--plot needs point data" in captured.err
+    assert not out.exists()
+
+
+def test_plot_on_one_coordinate_is_usage_error_before_clustering(tmp_path, capsys):
+    pts = tmp_path / "one_col.csv"
+    pts.write_text("\n".join(str(x) for x in np.random.default_rng(0).normal(size=40)) + "\n")
+    out = tmp_path / "labels.csv"
+    code = run_cli(["--in", str(pts), "--algo", "spectacl", "-r", "2", "-d", "5",
+                    "--out", str(out), "--plot", str(tmp_path / "plot.svg")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least two coordinates" in captured.err
     assert not out.exists()
 
 
@@ -289,6 +303,91 @@ def test_sweep_checks_every_value_range_before_clustering(tmp_path, capsys, axis
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def count_pipeline_calls(monkeypatch):
+    """Counts of calls to the pipelines, made through the names cli binds."""
+    calls = {}
+    for name in ("spectacl", "spectral_clustering", "dbscan"):
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("args, checked_first", [
+    (["--algo", "spectacl,sc", "-r", "1"], False),
+    (["--algo", "sc,dbscan", "-r", "2", "--min-pts", "0"], True),
+    (["--algo", "dbscan,sc", "-r", "2", "--knn", "60"], True),
+    (["--algo", "spectacl", "-r", "2", "--restarts", "0"], True),
+    (["--algo", "spectacl", "-r", "61", "-d", "61"], False),
+], ids=["sc-r-one", "min-pts-zero", "knn-at-m", "restarts-zero", "r-above-m"])
+def test_sweep_invalid_fixed_parameter_writes_no_csv(monkeypatch, tmp_path, capsys, args,
+                                                     checked_first):
+    calls = count_pipeline_calls(monkeypatch)
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1,0.2",
+        "--repeats", "2", "--out", str(out),
+    ] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+    if checked_first:
+        assert calls == {}
+
+
+def test_sweep_runtime_failure_writes_partial_csv(monkeypatch, tmp_path, capsys):
+    original, calls = cli.dbscan, []
+
+    def fails_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("simulated failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dbscan", fails_third)
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1,0.2",
+        "--repeats", "2", "--algo", "dbscan", "--out", str(out),
+    ])
+    assert code == 1
+    assert "simulated failure" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[:4] for line in lines[1:3]] == [
+        ["noise", "0.10000000000000001", "dbscan", "0"],
+        ["noise", "0.10000000000000001", "dbscan", "1"]]
+    assert lines[3:] == ["noise,,incomplete,,,,"]
+
+
+def test_sweep_aggregates_are_mean_and_std_of_each_block(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli([
+        "--gen", "moons", "--m", "60", "--sweep", "noise", "--values", "0.1,0.3",
+        "--repeats", "10", "--algo", "sc,dbscan", "-r", "2", "--min-pts", "5",
+        "--out", str(out),
+    ])
+    assert code == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = ("f_measure", "nmi", "runtime_ms")
+    blocks = {}
+    for row in rows:
+        if row["repeat"] not in ("mean", "std"):
+            blocks.setdefault((row["axis_value"], row["algorithm"]), []).append(row)
+    aggregates = [row for row in rows if row["repeat"] in ("mean", "std")]
+    assert len(aggregates) == 2 * len(blocks) == 8
+    for row in aggregates:
+        block = blocks[row["axis_value"], row["algorithm"]]
+        reduce = np.mean if row["repeat"] == "mean" else np.std
+        for column in columns:
+            cells = np.array([float(r[column]) for r in block])
+            assert float(row[column]) == float(reduce(cells)), (row, column)
 
 
 def test_sweep_axis_algorithm_mismatch(capsys):
