@@ -29,6 +29,8 @@ from .pipelines import (
     DbscanConfig,
     PipelineError,
     SpectaclConfig,
+    check_cluster_count,
+    check_spectral_clustering,
     dbscan,
     spectacl,
     spectral_clustering,
@@ -158,6 +160,7 @@ def _build_run(name, args):
     if args.r is None:
         raise UsageError(f"{name} requires -r")
     if name == "sc":
+        check_spectral_clustering(args.r, args.restarts)
         return lambda source: spectral_clustering(source, args.r, k=args.k, seed=args.seed,
                                                   restarts=args.restarts)
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"
@@ -250,12 +253,16 @@ def _sweep_grid(args):
     if args.out is None:
         raise UsageError("--sweep requires --out FILE for the result table")
     points = [argparse.Namespace(**{**vars(args), args.sweep: value}) for value in values]
-    # knn_graph checks k against the data, so no config owns this check
+    # k and r are checked against the data by the graph and the pipeline,
+    # so no config owns these checks
     uses_k = any(a in AXIS_ALGORITHMS["k"] for a in algorithms)
+    spectral = any(a != "dbscan" for a in algorithms)
     for point in points:
         SyntheticSpec(shape=args.gen, m=args.m, noise=point.noise, seed=args.seed)
         if uses_k and not 1 <= point.k < args.m:
             raise UsageError(f"need 1 <= k < m, got k={point.k}, m={args.m}")
+        if spectral and point.r is not None:
+            check_cluster_count(point.r, args.m)
     grid = [(point, [_build_run(a, point) for a in algorithms]) for point in points]
     return values, algorithms, grid
 

@@ -1,17 +1,23 @@
 """Lloyd's algorithm with k-means++ seeding, restarts, and deterministic ties.
 
 Determinism rules: nearest-centroid ties go to the lowest centroid index,
-centroid sums use numpy's fixed reduction order, and the per-restart random
+centroid sums add the member rows in index order, and the per-restart random
 streams are spawned from a single SeedSequence so results are reproducible
 bit-for-bit and independent of thread count.  Restart streams are prefix
 stable: kmeans(seed, restarts=R) explores exactly the first R spawned streams,
 so adding restarts can only improve the returned inertia.
 
-Each Lloyd assignment makes one BLAS product of the centroids with the data.
-That product only screens: it settles a point whose nearest centroid wins by
-more than a rounding bound, and the exact formula |x - c|^2, computed as
-before, decides every other point.  So the labels are those of the exact
-formula, whatever rounding the product's blocking or thread count gives.
+The restarts are seeded one by one and then iterated in lockstep: each Lloyd
+pass makes one BLAS product of every running restart's centroids with the
+data and one sparse product of their cluster indicators with the data.  The
+first product only screens: a running best and second best settle a point
+whose nearest centroid wins by more than a rounding bound, and the exact
+formula |x - c|^2 decides every other point.  So the labels are those of the
+exact formula, whatever rounding the product's blocking or thread count
+gives.  The second product adds each cluster's member rows in index order
+from +0.0, the order of numpy's mean over axis 0, so the centroids are the
+members' numpy means bit for bit.  A restart leaves the lockstep in the pass
+whose labels repeat its previous ones.
 """
 
 from __future__ import annotations
@@ -19,11 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 NOISE = -1
 
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
+# Restarts run in lockstep in groups whose pass arrays fit in this many bytes:
+# the r x restarts x m float64 screen and about ten restarts x m arrays.  So
+# memory does not grow with the restart count; a restart whose arrays alone
+# are larger runs in a group of its own.  The exact recheck runs in chunks of
+# rows under the same budget.
+LOCKSTEP_BYTES = 1 << 25
 
 # float64 rounding constants for the assignment screen's error bound
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -104,13 +117,15 @@ def kmeans(
     if restarts < 1:
         raise ClusteringError(f"need restarts >= 1, got {restarts}")
 
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    group = max(1, LOCKSTEP_BYTES // (8 * (r + 10) * m))
     best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centers = _kmeanspp_init(X, r, rng)
-        result = _lloyd(X, centers)
-        if best is None or result.inertia < best.inertia:
-            best = result
+    for lo in range(0, restarts, group):
+        centers = np.stack([_kmeanspp_init(X, r, np.random.default_rng(child))
+                            for child in streams[lo:lo + group]])
+        for result in _lloyd(X, centers):
+            if best is None or result.inertia < best.inertia:
+                best = result
     return best
 
 
@@ -139,68 +154,113 @@ def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray) -> KMeansResult:
-    r = centers.shape[0]
-    centers = centers.copy()
+def _lloyd(X: np.ndarray, centers: np.ndarray) -> list[KMeansResult]:
+    """Lloyd's iterations of every restart in centers (restarts x r x n), in
+    lockstep: each pass assigns and updates all restarts still running.  A
+    restart stops in the pass whose labels repeat its previous ones, since
+    its next pass would give the same centroids again."""
+    g, r, _ = centers.shape
+    Xc = np.ascontiguousarray(X)
     Xt = np.ascontiguousarray(X.T)
     xnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
-    prev_labels = None
-    for iterations in range(1, MAX_ITER + 1):
-        labels = _nearest(X, Xt, xnorm, centers)
-        labels = _repair_empty(X, centers, labels)
-        for i in range(r):
-            centers[i] = X[labels == i].mean(axis=0)
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
+    labels = np.full((g, X.shape[0]), -1, dtype=np.intp)  # no pass repeats these
+    iterations = np.full(g, MAX_ITER)
+    running = np.arange(g)
+    for iteration in range(1, MAX_ITER + 1):
+        new = _nearest(X, Xt, xnorm, centers[running])
+        for j, row in zip(running, new):
+            _repair_empty(X, centers[j], row)
+        centers[running] = _means(Xc, new, r)
+        done = np.all(new == labels[running], axis=1)
+        labels[running] = new
+        iterations[running[done]] = iteration
+        running = running[~done]
+        if not running.size:
             break
-        prev_labels = labels
-    inertia = 0.0
-    for i in range(r):
-        diff = X[labels == i] - centers[i]
-        inertia += float(np.einsum("ij,ij->", diff, diff))
-    return KMeansResult(
-        clustering=Clustering(labels=labels, n_clusters=r),
-        centroids=centers,
-        inertia=inertia,
-        iterations=iterations,
-    )
+    results = []
+    for j in range(g):
+        inertia = 0.0
+        for i in range(r):
+            diff = X[labels[j] == i] - centers[j, i]
+            inertia += float(np.einsum("ij,ij->", diff, diff))
+        results.append(KMeansResult(
+            clustering=Clustering(labels=labels[j].copy(), n_clusters=r),
+            centroids=centers[j].copy(),
+            inertia=inertia,
+            iterations=int(iterations[j]),
+        ))
+    return results
 
 
 def _nearest(X, Xt, xnorm, centers):
-    """Index of each row's nearest centre, lowest index on ties: exactly what
-    np.argmin over the _sq_dist columns gives, since those decide every row
-    the screen leaves open.
+    """Index of each row's nearest centre under each restart's centres
+    (restarts x r x n), lowest index on ties: exactly what np.argmin over the
+    _sq_dist columns gives, since those decide every row the screen leaves
+    open.
 
     Xt is X.T in C order and xnorm holds the row norms of X.  The screen
-    S[k, i] = |c_k|^2 - 2 c_k.x_i, one matrix product, is |x_i - c_k|^2 less
-    the row constant |x_i|^2.  Computed S and computed _sq_dist each err by at
-    most gamma_{n+3} (|x_i| + |c_k|)^2, plus an absolute term where they
-    underflow (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
-    So with tol_i = 4 gamma_{n+6} (|x_i| + max_k |c_k|)^2 plus that term, a
-    centre whose S exceeds the row's best by more than tol_i can neither be
-    nor tie the exact nearest.  The screen settles a row only when exactly one
-    centre lies within tol_i of its best.  NaN counts as near, and tol_i is
-    squared after doubling, so it is infinite on every row where S could
-    overflow.
+    S[k, j, i] = |c_jk|^2 - 2 c_jk.x_i, one matrix product for all restarts
+    laid out so that each centre's restarts x m slice is contiguous, is
+    |x_i - c_jk|^2 less the row constant |x_i|^2.  Computed S and computed
+    _sq_dist each err by at most gamma_{n+3} (|x_i| + |c_jk|)^2, plus an
+    absolute term where they underflow (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  So with tol_ji = 4 gamma_{n+6}
+    (|x_i| + max_k |c_jk|)^2 plus that term, a centre whose S exceeds the
+    row's best by more than tol_ji can neither be nor tie the exact nearest.
+    A running best and second best over the r slices settle a row when
+    second > best + tol_ji, that is when exactly one centre lies within
+    tol_ji of the best.  NaN propagates into both and so leaves the row open,
+    and tol_ji is squared after doubling, so it is infinite on every row where
+    S could overflow.
     """
     m, n = X.shape
+    g, r, _ = centers.shape
     gamma = (n + 6) * _UNIT_ROUNDOFF / (1 - (n + 6) * _UNIT_ROUNDOFF)
-    labels = np.zeros(m, dtype=np.intp)
+    labels = np.zeros((g, m), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # rows it overflows are rechecked
-        csq = np.einsum("ij,ij->i", centers, centers)
-        screen = (-2.0 * centers) @ Xt
-        screen += csq[:, None]
+        csq = np.einsum("jkn,jkn->kj", centers, centers)
+        stacked = centers.transpose(1, 0, 2).reshape(r * g, n)
+        screen = ((-2.0 * stacked) @ Xt).reshape(r, g, m)
+        screen += csq[:, :, None]
         best = screen[0].copy()
-        for k in range(1, centers.shape[0]):
-            labels[screen[k] < best] = k  # strict: the lowest index keeps a tie
-            np.minimum(best, screen[k], out=best)
-        tol = gamma * (2.0 * (xnorm + np.sqrt(csq.max()))) ** 2 + 4 * (n + 6) * _SUBNORMAL
-        near = np.count_nonzero(~(screen > best + tol), axis=0)
-    recheck = np.flatnonzero(near != 1)
-    if recheck.size:
-        rows = X[recheck]
-        dist2 = np.column_stack([_sq_dist(rows, c) for c in centers])
-        labels[recheck] = np.argmin(dist2, axis=1)  # the first minimum: lowest index wins ties
+        second = np.full((g, m), np.inf)
+        closer = np.empty((g, m), dtype=bool)
+        step = np.empty((g, m), dtype=np.intp)
+        for k in range(1, r):
+            s = screen[k]
+            np.less(s, best, out=closer)  # strict: the lowest index keeps a tie
+            # labels are below k so far, so this sets k exactly where closer
+            np.maximum(labels, np.multiply(closer, k, out=step), out=labels)
+            np.minimum(second, np.maximum(best, s), out=second)
+            np.minimum(best, s, out=best)
+        tol = gamma * (2.0 * (xnorm + np.sqrt(csq.max(axis=0))[:, None])) ** 2
+        tol += 4 * (n + 6) * _SUBNORMAL
+        restart, row = np.nonzero(~(second > best + tol))
+    chunk = max(1, LOCKSTEP_BYTES // (8 * (3 * n + r)))
+    for lo in range(0, row.size, chunk):
+        j, i = restart[lo:lo + chunk], row[lo:lo + chunk]
+        points = X[i]
+        dist2 = np.column_stack([_sq_dist(points, centers[j, k]) for k in range(r)])
+        labels[j, i] = np.argmin(dist2, axis=1)  # the first minimum: lowest index wins ties
     return labels
+
+
+def _means(X, labels, r):
+    """Exact centroids (restarts x r x n) of the labels (restarts x m) of the
+    C-ordered X: each sum adds the member rows in index order from +0.0, as
+    numpy's mean over axis 0 does for two or more columns, so the means are
+    bit-identical to X[labels[j] == k].mean(axis=0).  One column numpy sums
+    pairwise, so there the means are numpy's."""
+    g, m = labels.shape
+    if X.shape[1] == 1:
+        return np.array([[X[row == k].mean(axis=0) for k in range(r)] for row in labels])
+    key = (labels + r * np.arange(g)[:, None]).ravel()  # row j * r + k: cluster k of restart j
+    key = key.astype(np.min_scalar_type(g * r))  # 8 and 16 bits sort by radix
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=g * r)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    members = sp.csr_matrix((np.ones(g * m), order % m, indptr), shape=(g * r, m))
+    return ((members @ X) / counts[:, None]).reshape(g, r, -1)
 
 
 def _repair_empty(X, centers, labels):

@@ -140,6 +140,20 @@ def _ball_graph(data: DataMatrix, epsilon: float | None, scale: float):
     return epsilon_graph(data, epsilon), epsilon
 
 
+def check_cluster_count(r: int, points: int) -> None:
+    """A spectral pipeline needs at least r points to make r clusters."""
+    if r > points:
+        raise PipelineError(f"r={r} exceeds the number of points {points}")
+
+
+def check_spectral_clustering(r: int, restarts: int) -> None:
+    """The parameter checks of spectral_clustering, which has no config."""
+    if r < 2:
+        raise PipelineError(f"need r >= 2, got {r}")
+    if restarts < 1:
+        raise PipelineError(f"need restarts >= 1, got {restarts}")
+
+
 def _spectral_graph(data_or_graph, build, r: int) -> tuple[SparseSymmetricMatrix, float | None]:
     """(graph, radius) from _graph, checked to have at least r points.
 
@@ -147,8 +161,7 @@ def _spectral_graph(data_or_graph, build, r: int) -> tuple[SparseSymmetricMatrix
     Normalization keeps those rows zero, so the count holds after it too.
     """
     W, epsilon = _graph(data_or_graph, build)
-    if r > W.dim:
-        raise PipelineError(f"r={r} exceeds the number of points {W.dim}")
+    check_cluster_count(r, W.dim)
     isolated = int(np.count_nonzero(W.degrees() == 0))
     if isolated:
         warnings.warn(
@@ -191,10 +204,7 @@ def spectral_clustering(
     k-means runs on all r columns.  Isolated points get zero rows, unless the
     rest of the graph has fewer than r pairs (as on an edgeless graph).
     """
-    if r < 2:
-        raise PipelineError(f"need r >= 2, got {r}")
-    if restarts < 1:
-        raise PipelineError(f"need restarts >= 1, got {restarts}")
+    check_spectral_clustering(r, restarts)
     W, _ = _spectral_graph(data_or_graph, lambda data: (knn_graph(data, k), None), r)
     normalized = symmetric_normalize(W)
     pairs = laplacian_eigs(W, normalized, r)

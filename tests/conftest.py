@@ -298,15 +298,20 @@ def reference_kmeans(data, r, restarts=10, seed=0):
     from that history.  Same seeding streams, restarts and tie rules as
     kmeans.  Returns (KMeansResult, number of empty clusters reseeded).
     """
-    X = np.asarray(data, dtype=np.float64)
     best, repairs = None, 0
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        centers = _kmeanspp_init(X, r, np.random.default_rng(child))
-        result, reseeded = _reference_lloyd(X, centers)
+    for result, reseeded in reference_restarts(data, r, restarts, seed):
         repairs += reseeded
         if best is None or result.inertia < best.inertia:
             best = result
     return best, repairs
+
+
+def reference_restarts(data, r, restarts=10, seed=0):
+    """(KMeansResult, number of empty clusters reseeded) of every restart of
+    reference_kmeans, in restart order."""
+    X = np.asarray(data, dtype=np.float64)
+    return [_reference_lloyd(X, _kmeanspp_init(X, r, np.random.default_rng(child)))
+            for child in np.random.SeedSequence(seed).spawn(restarts)]
 
 
 def _reference_sq_dist(X, c):

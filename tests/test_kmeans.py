@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectacl.kmeans import Clustering, ClusteringError, kmeans
@@ -15,6 +16,7 @@ from conftest import (
     exhaustive_best_inertia,
     labeling_inertia,
     reference_kmeans,
+    reference_restarts,
     trace_objective,
 )
 
@@ -83,6 +85,7 @@ def lattice_points(rng, m, side):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "lattice"]),
        st.integers(1, 6), st.integers(1, 4))
+@example(seed=28514, kind="gaussian", r=2, restarts=1)  # one column: numpy sums it pairwise
 def test_kmeans_matches_reference(seed, kind, r, restarts):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(r, 40))
@@ -149,6 +152,64 @@ def test_kmeans_result_bytes_independent_of_blas_threads():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
+def threaded_input():
+    """The input of _THREADED_RUN: 3000 points in 50 dimensions around 15 centres."""
+    rng = np.random.default_rng(0)
+    centres = 3.0 * rng.standard_normal((15, 50))
+    return centres[rng.integers(15, size=3000)] + rng.standard_normal((3000, 50))
+
+
+@pytest.mark.parametrize("cap", [None, 6], ids=["converged", "capped"])
+def test_lockstep_restarts_stopping_at_different_passes(monkeypatch, cap):
+    """The restarts stop after 4 to 11 passes; capped at 6, some converge and
+    the rest stop at the cap."""
+    if cap is not None:
+        monkeypatch.setattr(kmeans_module, "MAX_ITER", cap)
+        monkeypatch.setattr(conftest, "MAX_ITER", cap)
+    X = threaded_input()
+    stops = [result.iterations for result, _ in reference_restarts(X, 15, restarts=10)]
+    assert len(set(stops)) > 1
+    if cap is not None:
+        assert min(stops) < cap == max(stops)
+    want, _ = reference_kmeans(X, 15, restarts=10, seed=0)
+    assert_same_result(kmeans(X, 15, restarts=10, seed=0), want)
+
+
+# (seed, r, x): points (x, 0) on the integer lattice where, of 4 restarts,
+# exactly one empties a cluster in a Lloyd pass and needs the repair
+ONE_RESTART_REPAIRED = [
+    (1771, 7, [-704, -688, 684, -1684, 1086, -618, 978, -937, -310, 1184, 183, 324, -477,
+               -406, -1231, -625, -1004, -306, -691]),
+    (2071, 7, [411, 53, -360, 510, -122, 893, 1781, -625, -96, 139, 1322, 525, -418, 1985,
+               -1299, -231, 980, 983, -406, 109]),
+    (4858, 8, [1080, 999, -1406, -309, -1740, 765, 1082, 483, -1307, 752, 155, 708, 1312,
+               1216, -44, -836, -1327, 114, 1308, -766, -1849]),
+]
+
+
+@pytest.mark.parametrize("seed, r, x", ONE_RESTART_REPAIRED,
+                         ids=[f"seed-{case[0]}" for case in ONE_RESTART_REPAIRED])
+def test_lockstep_repairs_one_restart_alone(seed, r, x):
+    X = np.column_stack([x, np.zeros(len(x))])
+    repaired = [reseeded > 0 for _, reseeded in reference_restarts(X, r, restarts=4, seed=seed)]
+    assert sum(repaired) == 1
+    want, _ = reference_kmeans(X, r, restarts=4, seed=seed)
+    assert_same_result(kmeans(X, r, restarts=4, seed=seed), want)
+
+
+@pytest.mark.parametrize("budget", [1, 8960], ids=["groups-of-one", "groups-of-two"])
+def test_restart_groups_and_recheck_chunks_match_reference(monkeypatch, budget):
+    """Restarts run in groups, and the exact recheck in chunks, under
+    LOCKSTEP_BYTES: 8960 bytes hold the pass arrays of two restarts at r = 4
+    and m = 40, and 1 byte makes groups and chunks of one.  The offset leaves
+    rows to the recheck."""
+    monkeypatch.setattr(kmeans_module, "LOCKSTEP_BYTES", budget)
+    for seed in range(10):
+        X = np.random.default_rng(seed).standard_normal((40, 3)) + 2.0**24
+        want, _ = reference_kmeans(X, 4, restarts=5, seed=seed)
+        assert_same_result(kmeans(X, 4, restarts=5, seed=seed), want)
+
+
 def test_lattice_inputs_reach_repair():
     repairs = 0
     for seed in range(20):
@@ -166,7 +227,7 @@ def test_centroids_are_exact_means(rng):
     for s in range(4):
         members = X[res.clustering.labels == s]
         assert members.shape[0] > 0
-        assert np.allclose(res.centroids[s], members.mean(axis=0), atol=1e-12)
+        assert np.array_equal(res.centroids[s], members.mean(axis=0))
 
 
 def test_inertia_consistency(rng):
