@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import conftest
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from spectacl.kmeans import Clustering, ClusteringError, kmeans
 
+import conftest
 from conftest import (
     exhaustive_best_inertia,
     labeling_inertia,
