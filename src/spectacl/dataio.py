@@ -155,22 +155,7 @@ def load_edge_list(path) -> EdgeList:
 
 def write_clustering(path, clustering) -> None:
     """Write one "index,label" line per point after a header; noise is -1."""
-    table = np.column_stack([np.arange(clustering.m), clustering.labels])
-    with _output(path) as fh:
-        np.savetxt(fh, table, fmt="%d", delimiter=",", header="point,label", comments="")
-
-
-def write_points(path, data: DataMatrix, labels=None) -> None:
-    """Write points as CSV (17 significant digits), optionally with a label column."""
-    header = [f"x{j}" for j in range(data.n)]
-    fmt = [FLOAT_FORMAT] * data.n
-    table = data.values
-    if labels is not None:
-        header.append("label")
-        fmt.append("%d")
-        table = np.column_stack([table, labels])
-    with _output(path) as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    write_csv_table(path, ("point", "label"), enumerate(clustering.labels.tolist()))
 
 
 def write_csv_table(path, header, rows) -> None:

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .graph import SparseSymmetricMatrix
+from .graph import SparseSymmetricMatrix, components
 
 # m at or below which truncated_eigs and laplacian_eigs just call the dense
 # solver; read at call time, so setting it to 0 forces the iterative path.
@@ -167,12 +166,11 @@ def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -
         raise EigenSolverError(f"need 1 <= r <= m, got r={r}, m={m}")
     deg = W.degrees()
     isolated = deg == 0
-    _, component = connected_components(W.matrix > 0, directed=False)  # zero weights are no edges
+    _, component = components(W.matrix)
     volume = np.bincount(component, weights=deg)
-    _, lowest = np.unique(component, return_index=True)
     # components with edges, by volume descending, then by lowest member
     kept = np.flatnonzero(volume > 0)
-    kept = kept[np.lexsort((lowest[kept], -volume[kept]))]
+    kept = kept[np.argsort(-volume[kept], kind="stable")]
     c = kept.size
     if c > r:
         warnings.warn(

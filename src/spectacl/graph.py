@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .dataio import DataMatrix, EdgeList
@@ -37,7 +38,9 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class SparseSymmetricMatrix:
-    """Symmetric real matrix in CSR storage.
+    """Symmetric real matrix in canonical CSR storage, duplicates summed and no
+    zeros stored, so each stored entry is an edge and a zero weight is none.
+    Other input is brought to that form on a copy, never in place.
 
     Adjacency matrices built by this module additionally have a zero diagonal.
     """
@@ -46,7 +49,10 @@ class SparseSymmetricMatrix:
 
     def __post_init__(self):
         mat = sp.csr_matrix(self.matrix, dtype=np.float64)
-        mat.sum_duplicates()
+        if not mat.has_canonical_format or not mat.data.all():
+            mat = mat.copy()
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
         if mat.shape[0] != mat.shape[1]:
             raise GraphError(f"matrix is not square: {mat.shape}")
         if mat.nnz and not np.all(np.isfinite(mat.data)):
@@ -69,6 +75,15 @@ class SparseSymmetricMatrix:
     def degrees(self) -> np.ndarray:
         """Row sums (weighted node degrees)."""
         return np.asarray(self.matrix.sum(axis=1)).ravel()
+
+
+def components(matrix) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of the undirected graph
+    whose edges are the stored entries of a sparse matrix, numbered by their
+    lowest member (scipy does not document its order)."""
+    count, labels = connected_components(matrix, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return count, np.argsort(np.argsort(first))[labels]  # rank of the lowest member
 
 
 def _distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

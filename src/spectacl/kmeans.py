@@ -264,7 +264,8 @@ def _means(X, labels, r):
 
 
 def _repair_empty(X, centers, labels):
-    """Reseed each empty centroid at the point farthest from its assigned centroid.
+    """Move the point farthest from its assigned centroid into each empty
+    cluster; _means then sets that cluster's centroid to the point.
 
     The per-point cost is computed only when some cluster is empty.  The moved
     point's cost drops to zero and nobody else moves, so the Lloyd objective
@@ -272,7 +273,7 @@ def _repair_empty(X, centers, labels):
     """
     counts = np.bincount(labels, minlength=centers.shape[0])
     if np.all(counts):
-        return labels
+        return
     cost = _sq_dist(X, centers[labels])
     while np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
@@ -283,6 +284,4 @@ def _repair_empty(X, centers, labels):
         counts[labels[pick]] -= 1
         labels[pick] = empty
         counts[empty] = 1
-        centers[empty] = X[pick]
         cost[pick] = 0.0
-    return labels

@@ -18,14 +18,15 @@ the r largest components by volume are kept (eigen.laplacian_eigs).
 
 dbscan: core points are those with at least min_pts other points strictly
 inside the epsilon ball (the point itself never counts, coincident points do);
-this is the degree in the epsilon graph.  Clusters are the connected components
-of the core subgraph (index-based DBSCAN, Ester et al. 1996; Schubert et al.
-2017), numbered by their lowest core index; border points join their
-lowest-index core neighbor, the rest is noise.
+this is its edge count in the epsilon graph.  Clusters are the connected
+components of the core subgraph (index-based DBSCAN, Ester et al. 1996;
+Schubert et al. 2017), numbered by their lowest core index; border points
+join their lowest-index core neighbor, the rest is noise.
 
 Every pipeline takes either a DataMatrix, from which it builds its own graph,
-or a ready-made SparseSymmetricMatrix, which it uses as that graph.  It
-returns a PipelineResult, which carries that graph and its radius for callers.
+or a ready-made SparseSymmetricMatrix, which it uses as that graph: each
+stored entry is an edge, and a zero weight, which it never stores, is none.
+It returns a PipelineResult, which carries that graph and its radius.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .dataio import DataMatrix
 from .eigen import laplacian_eigs, truncated_eigs
@@ -43,6 +43,7 @@ from .graph import (
     GraphError,
     SparseSymmetricMatrix,
     choose_epsilon,
+    components,
     epsilon_graph,
     knn_graph,
     symmetric_normalize,
@@ -157,12 +158,12 @@ def check_spectral_clustering(r: int, restarts: int) -> None:
 def _spectral_graph(data_or_graph, build, r: int) -> tuple[SparseSymmetricMatrix, float | None]:
     """(graph, radius) from _graph, checked to have at least r points.
 
-    Warns when some points have degree zero: the graph does not place them.
-    Normalization keeps those rows zero, so the count holds after it too.
+    Warns when some rows store no entry: the graph does not place those
+    points.  Normalization keeps those rows empty, so the count holds after it.
     """
     W, epsilon = _graph(data_or_graph, build)
     check_cluster_count(r, W.dim)
-    isolated = int(np.count_nonzero(W.degrees() == 0))
+    isolated = int(np.count_nonzero(np.diff(W.matrix.indptr) == 0))
     if isolated:
         warnings.warn(
             f"{isolated} of {W.dim} points have no neighbors in the graph, "
@@ -217,20 +218,15 @@ def dbscan(data_or_graph, config: DbscanConfig) -> PipelineResult:
 
     The epsilon ball is strict and never counts the point itself, so a core
     point needs min_pts *other* points within the radius.  A ready-made graph
-    is taken as the epsilon graph: every stored entry is a neighbor, and
+    is taken as the epsilon graph: every edge (stored entry) is a neighbor, and
     config.epsilon is not used.
     """
     graph, epsilon = _graph(data_or_graph, lambda data: _ball_graph(data, config.epsilon, 1.0))
     W = graph.matrix
     core = np.flatnonzero(np.diff(W.indptr) >= config.min_pts)
-    n_clusters, component = connected_components(W[core][:, core], directed=False)
-    # number clusters by their lowest core index (scipy does not document its order)
-    _, first = np.unique(component, return_index=True)
-    rank = np.empty(n_clusters, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(n_clusters)
-
+    n_clusters, component = components(W[core][:, core])
     labels = np.full(W.shape[0], NOISE, dtype=np.int64)
-    labels[core] = rank[component]
+    labels[core] = component
     border = W[:, core]  # columns in core order, which is index order
     border.sort_indices()
     reach = np.diff(border.indptr) > 0

@@ -197,6 +197,17 @@ def test_graph_input_runs_spectral_pipeline(tmp_path, capsys):
     assert labels[0] != labels[6]
 
 
+@pytest.mark.parametrize("algo", ["spectacl", "spectacl-norm", "sc"])
+def test_zero_weight_edge_list_is_edgeless(tmp_path, capsys, algo):
+    g = tmp_path / "graph.txt"
+    # 601 nodes, above the dense eigensolver's size
+    g.write_text("".join(f"{j} {j + 1} 0\n" for j in range(600)))
+    with pytest.warns(UserWarning, match="601 of 601 points have no neighbors"):
+        code = run_cli(["--graph", str(g), "--algo", algo, "-r", "2"])
+    assert code == 0
+    assert "clusters=2" in capsys.readouterr().out
+
+
 def test_sweep_csv_shape_and_aggregates(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli([

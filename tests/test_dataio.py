@@ -11,7 +11,7 @@ from spectacl.dataio import (
     load_labeled_points,
     load_points,
     write_clustering,
-    write_points,
+    write_csv_table,
 )
 from spectacl.kmeans import Clustering
 
@@ -186,7 +186,7 @@ finite_floats = st.floats(
 def test_points_round_trip_exact(tmp_path_factory, rows):
     p = tmp_path_factory.mktemp("rt") / "pts.csv"
     data = DataMatrix(np.array(rows, dtype=np.float64))
-    write_points(p, data)
+    write_csv_table(p, ["x0", "x1", "x2"], data.values.tolist())
     back = load_points(p, has_header=True)
     assert np.array_equal(back.values, data.values)
 
@@ -194,7 +194,8 @@ def test_points_round_trip_exact(tmp_path_factory, rows):
 def test_points_round_trip_with_labels(tmp_path):
     p = tmp_path / "pts.csv"
     data = DataMatrix(np.array([[0.1, 0.2], [0.3, 0.4]]))
-    write_points(p, data, labels=np.array([1, 0]))
+    write_csv_table(p, ["x0", "x1", "label"],
+                    [[*row, label] for row, label in zip(data.values.tolist(), [1, 0])])
     back, labels = load_labeled_points(p, has_header=True)
     assert np.array_equal(back.values, data.values)
     assert labels.tolist() == [1, 0]

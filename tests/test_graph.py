@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,10 @@ from spectacl.dataio import DataMatrix
 from spectacl.graph import (
     RADIUS_NUDGE,
     GraphError,
+    SparseSymmetricMatrix,
     adjacency_from_edge_list,
     choose_epsilon,
+    components,
     epsilon_graph,
     knn_graph,
     kth_neighbor_distances,
@@ -272,3 +275,26 @@ def test_sparse_matrix_rejects_asymmetry():
     A = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(GraphError, match="symmetric"):
         from_dense(A)
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([0, 2, 4], [1, 1, 0, 0], [1.0, 2.0, 2.0, 1.0]),  # duplicates
+    ([0, 2, 4], [0, 1, 0, 1], [0.0, 3.0, 3.0, 0.0]),  # stored zeros on the diagonal
+])
+def test_sparse_matrix_keeps_edges_only_and_leaves_the_input_alone(indptr, indices, data):
+    user = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(2, 2))
+    before = [arr.copy() for arr in (user.indptr, user.indices, user.data)]
+    W = SparseSymmetricMatrix(user)
+    for arr, kept in zip((user.indptr, user.indices, user.data), before):
+        assert np.array_equal(arr, kept)
+    assert W.matrix.indptr.tolist() == [0, 1, 2]
+    assert W.matrix.indices.tolist() == [1, 0]
+    assert W.matrix.data.tolist() == [3.0, 3.0]
+
+
+def test_components_are_numbered_by_lowest_member():
+    W = SparseSymmetricMatrix(sp.csr_matrix(
+        (np.ones(4), ([0, 3, 1, 2], [3, 0, 2, 1])), shape=(5, 5)))
+    count, labels = components(W.matrix)
+    assert count == 3
+    assert labels.tolist() == [0, 1, 1, 0, 2]

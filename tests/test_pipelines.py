@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from spectacl.dataio import DataMatrix
 from spectacl.datagen import SyntheticSpec, generate
 from spectacl.graph import (
     GraphError,
+    SparseSymmetricMatrix,
     choose_epsilon,
     epsilon_graph,
     knn_graph,
@@ -130,11 +132,38 @@ def test_isolated_points_warn_without_changing_labels():
     ] == [(__file__, True)] * 3
 
 
+def zero_weight_path(m):
+    """The path 0-1-...-(m-1), every edge stored with weight 0."""
+    j = np.arange(m - 1)
+    return SparseSymmetricMatrix(sp.csr_matrix(
+        (np.zeros(2 * (m - 1)), (np.concatenate([j, j + 1]), np.concatenate([j + 1, j]))),
+        shape=(m, m)))
+
+
+@pytest.mark.parametrize("cluster", [
+    lambda W: spectacl(W, SpectaclConfig(r=2)),
+    lambda W: spectacl(W, SpectaclConfig(r=2, variant="normalized")),
+    lambda W: spectral_clustering(W, 2),
+], ids=["spectacl", "spectacl-norm", "sc"])
+def test_zero_weights_are_no_edges(cluster):
+    # m > DENSE_FALLBACK_DIM, so the spectacl variants take the iterative eigensolver
+    with pytest.warns(UserWarning) as record:
+        cl = cluster(zero_weight_path(600))
+    assert [str(w.message) for w in record] == [
+        "600 of 600 points have no neighbors in the graph, "
+        "so their cluster labels are arbitrary"
+    ]
+    assert cl.n_clusters == 2 and sorted(set(cl.labels.tolist())) == [0, 1]
+
+
 def test_connected_graph_does_not_warn():
     W, _ = cliques_graph((3, 3))
+    signed = W.to_dense()
+    signed[0, 3] = signed[3, 0] = -2.0  # nodes 0 and 3 have neighbors but degree 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spectacl(W, SpectaclConfig(r=2, d=2))
+        spectacl(from_dense(signed), SpectaclConfig(r=2, d=2))
         spectral_clustering(W, 2)
 
 
@@ -226,6 +255,14 @@ def test_dbscan_border_attaches_to_lowest_index_core():
     pts = np.vstack([left, right, border])
     cl = dbscan(DataMatrix(pts), DbscanConfig(epsilon=1.6, min_pts=3))
     assert cl.labels[8] == cl.labels[0]
+
+
+def test_dbscan_zero_weight_entry_is_no_neighbor():
+    W = SparseSymmetricMatrix(sp.csr_matrix(
+        (np.array([1.0, 1.0, 0.0, 0.0]), ([0, 1, 2, 3], [1, 0, 3, 2])), shape=(4, 4)))
+    cl = dbscan(W, DbscanConfig(min_pts=1))
+    assert cl.n_clusters == 1
+    assert cl.labels.tolist() == [0, 0, -1, -1]
 
 
 def test_dbscan_order_invariance_up_to_relabeling(rng):
