@@ -3,17 +3,18 @@ normalization, and the quantile heuristic that picks the ball radius.
 
 Neighborhoods come from `scipy.spatial.cKDTree` queries, so no m x m matrix is
 ever formed.  The tree includes the ball boundary and rounds in its own way, so
-each query asks for a radius widened by TREE_SLACK and the candidates are
-filtered on the per-pair distance formula of `_distances` with the strict "<"
-rule.  The results equal those of a dense distance matrix built with the same
-formula, bit for bit.  Coincident points (distance 0) are neighbors of each
-other in every graph and count toward every neighbor count; a point is never
-its own neighbor.
+it only proposes candidates and every decision is made on the per-pair distance
+formula of `_distances`: a ball query asks for a radius widened by TREE_SLACK,
+and the k nearest neighbors come from a query for k + 2 points, with a ball
+query only for the rows where those leave a tie open (see `_nearest`).  The
+results equal those of a dense distance matrix built with the same formula,
+bit for bit.  Coincident points (distance 0) are neighbors of each other in
+every graph and count toward every neighbor count; a point is never its own
+neighbor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,6 +105,7 @@ def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
     if not np.isfinite(radius) or radius <= 0:
         raise GraphError(f"radius must be positive and finite, got {radius}")
     X = data.values
+    _check_distances_fit(X)
     pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
     pairs = pairs[_distances(X, pairs[:, 0], pairs[:, 1]) < radius]
     # a view, so the only array of ones is the one _undirected concatenates
@@ -121,35 +123,68 @@ def _undirected(pairs: np.ndarray, weights: np.ndarray, n: int) -> SparseSymmetr
     return SparseSymmetricMatrix(mat)
 
 
-def _nearest_candidates(data: DataMatrix, k: int):
-    """Per point, every other point that can be among its k nearest.
+def _check_distances_fit(X: np.ndarray) -> None:
+    """Raise GraphError unless every squared distance between rows of X is
+    finite: each is at most n * (2 max|x|)^2 for n columns."""
+    if 2.0 * math.sqrt(X.shape[1]) * np.abs(X).max() >= math.sqrt(np.finfo(np.float64).max):
+        raise GraphError("squared distances overflow float64: rescale the data")
 
-    The tree finds each point's k-th neighbor distance, then a ball slightly
-    wider than it collects all points tied with (or, in the tree's arithmetic,
-    rounded past) that neighbor.  Returns (rows, cols, dist, starts): the
-    candidate pairs sorted by (row, exact distance, col), and the offset of
-    each row's first candidate.  Each row has at least k candidates, and its
-    first k are its k nearest with ties broken toward the lowest index.
+
+def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, dist): m x k arrays holding each point's k nearest other points
+    in (exact distance, index) order, and their `_distances`.
+
+    One tree query returns q = k + 2 candidates per point (all m points when
+    m is smaller): self, k others and one more.  Sorted by (exact distance,
+    index) with self last, a row is settled when its (k+1)-th distance
+    exceeds its k-th by more than TREE_SLACK**2.  A point p the tree did not
+    return has a tree distance at least that of every returned point, and the
+    tree's distances and `_distances` differ by less than the relative
+    TREE_SLACK, so d(p) >= d_(k+1) / TREE_SLACK**2 > d_k: p is farther than
+    the k-th and can neither be nor tie one of the k nearest.  The other rows
+    (ties at the k-th distance, or more than k + 1 points coincident with the
+    row's own, so that self may be missing from the answer) collect every
+    point within the tree's (k+1)-th distance, widened by TREE_SLACK, with a
+    ball query, and sort those.  When q = m no point is left out, and a tied
+    row's ball query finds what the tree returned.
     """
     X = data.values
+    _check_distances_fit(X)
+    m = data.m
+    q = min(k + 2, m)
     tree = cKDTree(X)
-    # k + 1 nearest, self included: the last one is the k-th distance to others
-    nearest, _ = tree.query(X, k=k + 1)
-    balls = tree.query_ball_point(X, nearest[:, k] * TREE_SLACK, return_sorted=False)
-    counts = np.fromiter((len(b) for b in balls), dtype=np.intp, count=data.m)
-    rows = np.repeat(np.arange(data.m), counts)
-    cols = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
-    others = rows != cols  # self is never its own neighbor
-    rows, cols = rows[others], cols[others]
-    dist = _distances(X, rows, cols)
-    order = np.lexsort((cols, dist, rows))
-    rows, cols, dist = rows[order], cols[order], dist[order]
-    starts = np.searchsorted(rows, np.arange(data.m))
-    return rows, cols, dist, starts
+    tree_dist, cols = tree.query(X, k=q)
+    rows = np.arange(m)[:, None]
+    dist = _distances(X, np.repeat(rows, q), cols.ravel()).reshape(m, q)
+    dist[cols == rows] = np.inf  # self is never its own neighbor
+    order = np.lexsort((cols, dist), axis=-1)
+    cols = np.take_along_axis(cols, order, axis=-1)[:, :k]
+    dist = np.take_along_axis(dist, order, axis=-1)
+    tied = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * TREE_SLACK**2)
+    if tied.size:
+        cols[tied], dist[tied, :k] = _nearest_in_ball(
+            tree, X, tied, tree_dist[tied, k] * TREE_SLACK, k)
+    return cols, dist[:, :k]
+
+
+def _nearest_in_ball(tree: cKDTree, X: np.ndarray, rows: np.ndarray, radius: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, dist) as in `_nearest` for the given rows, each of whose balls
+    of the given radius holds at least k points other than itself."""
+    balls = tree.query_ball_point(X[rows], radius, return_sorted=False)
+    owner = np.repeat(rows, np.fromiter(map(len, balls), dtype=np.intp, count=rows.size))
+    cols = np.concatenate(balls)
+    others = owner != cols  # self is never its own neighbor
+    owner, cols = owner[others], cols[others]
+    dist = _distances(X, owner, cols)
+    order = np.lexsort((cols, dist, owner))
+    picked = (np.searchsorted(owner[order], rows)[:, None] + np.arange(k)).ravel()
+    return cols[order][picked].reshape(-1, k), dist[order][picked].reshape(-1, k)
 
 
 def knn_graph(data: DataMatrix, k: int) -> SparseSymmetricMatrix:
-    """Symmetrized k-nearest-neighbor graph (A + A^T)/2 with weights in {0, 1/2, 1}.
+    """Symmetrized k-nearest-neighbor graph (A + A^T)/2 with weights in {0, 1/2, 1},
+    where row j of A marks the k points `_nearest` finds for point j.
 
     Ties at the k-th distance break toward the lowest point index, so the
     result is independent of input permutation quirks and platform.
@@ -157,9 +192,8 @@ def knn_graph(data: DataMatrix, k: int) -> SparseSymmetricMatrix:
     m = data.m
     if not 1 <= k < m:
         raise GraphError(f"need 1 <= k < m, got k={k}, m={m}")
-    rows, cols, _, starts = _nearest_candidates(data, k)
-    picked = (starts[:, None] + np.arange(k)).ravel()
-    A = sp.csr_matrix((np.ones(picked.size), (rows[picked], cols[picked])), shape=(m, m))
+    cols, _ = _nearest(data, k)
+    A = sp.csr_matrix((np.ones(m * k), cols.ravel(), np.arange(0, m * k + 1, k)), shape=(m, m))
     return SparseSymmetricMatrix((A + A.T) / 2.0)
 
 
@@ -171,21 +205,21 @@ def symmetric_normalize(W: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    coo = W.matrix.tocoo()
+    mat = W.matrix
+    rows = np.repeat(np.arange(W.dim), np.diff(mat.indptr))
     # entry-wise s_j*s_l factor keeps exact symmetry (float multiply commutes)
-    data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
-    out = sp.csr_matrix((data, (coo.row, coo.col)), shape=W.matrix.shape)
-    return SparseSymmetricMatrix(out)
+    data = mat.data * (inv_sqrt[rows] * inv_sqrt[mat.indices])
+    return SparseSymmetricMatrix(sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape))
 
 
 def kth_neighbor_distances(data: DataMatrix, neighbor_count: int) -> np.ndarray:
-    """Per point, the distance to its neighbor_count-th nearest other point
-    (coincident points count, at distance 0)."""
+    """Per point, the exact distance to its neighbor_count-th nearest other
+    point (coincident points count, at distance 0), from `_nearest`."""
     m = data.m
     if not 1 <= neighbor_count < m:
         raise GraphError(f"neighbor_count must be in [1, m), got {neighbor_count} with m={m}")
-    _, _, dist, starts = _nearest_candidates(data, neighbor_count)
-    return dist[starts + neighbor_count - 1]
+    _, dist = _nearest(data, neighbor_count)
+    return dist[:, -1].copy()
 
 
 def choose_epsilon(data: DataMatrix, neighbor_count: int = 10, coverage: float = 0.9) -> float:

@@ -52,6 +52,16 @@ def test_auto_epsilon_on_ten_points_is_usage_error(tmp_path, capsys, algo):
     assert "at least 11 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo,eps", [("spectacl", "auto"), ("sc", "auto"), ("dbscan", "auto"),
+                                      ("dbscan", "1e160")])
+def test_points_whose_squared_distances_overflow_are_usage_error(tmp_path, capsys, algo, eps):
+    pts = tmp_path / "points.csv"
+    np.savetxt(pts, np.random.default_rng(0).standard_normal((200, 2)) * 1e160, delimiter=",")
+    code = run_cli(["--in", str(pts), "--algo", algo, "-r", "2", "--eps", eps])
+    assert code == 2
+    assert "rescale the data" in capsys.readouterr().err
+
+
 def test_missing_r_is_usage_error(capsys):
     code = run_cli(["--gen", "moons", "--m", "50", "--algo", "spectacl"])
     assert code == 2

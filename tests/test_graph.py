@@ -6,7 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectacl import graph
 from spectacl.dataio import DataMatrix
+from spectacl.datagen import SyntheticSpec, generate
 from spectacl.graph import (
     RADIUS_NUDGE,
     GraphError,
@@ -22,6 +24,7 @@ from spectacl.graph import (
 from spectacl.dataio import EdgeList, load_edge_list
 
 from conftest import (
+    assert_same_csr,
     dense_epsilon_graph,
     dense_kth_neighbor_distances,
     dense_knn_graph,
@@ -123,6 +126,85 @@ def test_kth_distances_and_epsilon_equal_dense_oracle(seed, m, kind, k, coverage
     assert choose_epsilon(data, neighbor_count=k, coverage=coverage) == expect
 
 
+@pytest.mark.parametrize("shape", ["moons", "circles", "blobs"])
+def test_knn_graph_and_kth_distances_at_m_1500_equal_dense_oracle_bytes(shape):
+    data, _ = generate(SyntheticSpec(shape=shape, m=1500, noise=0.1, seed=0))
+    assert_same_csr(knn_graph(data, 10), from_dense(dense_knn_graph(data, 10)))
+    assert np.array_equal(kth_neighbor_distances(data, 10), dense_kth_neighbor_distances(data, 10))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
+@pytest.mark.parametrize("m", [2, 3, 9, 40])
+def test_knn_with_every_point_returned_by_the_tree_equals_dense_oracle(kind, m):
+    # k = m - 1 and k = m - 2 ask the tree for all m points
+    data = point_cloud(m, m, kind)
+    for k in {m - 1, max(1, m - 2)}:
+        assert np.array_equal(knn_graph(data, k).to_dense(), dense_knn_graph(data, k))
+        assert np.array_equal(kth_neighbor_distances(data, k),
+                              dense_kth_neighbor_distances(data, k))
+
+
+@pytest.fixture
+def ball_queries(monkeypatch):
+    """One entry per cKDTree.query_ball_point call made through spectacl.graph."""
+    calls = []
+
+    class CountingTree(graph.cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            calls.append(1)
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "cKDTree", CountingTree)
+    return calls
+
+
+def test_nearest_neighbors_of_spread_points_need_no_ball_query(ball_queries):
+    data, _ = generate(SyntheticSpec(shape="moons", m=1500, noise=0.1, seed=0))
+    knn_graph(data, 10)
+    choose_epsilon(data)
+    assert not ball_queries
+
+
+def test_nearest_neighbors_among_many_coincident_points_take_the_ball_query(ball_queries):
+    # 30 copies of one point: the tree's k + 2 answers may leave out the point itself
+    X = np.vstack([np.zeros((30, 2)), np.random.default_rng(0).uniform(-1, 1, size=(30, 2))])
+    data = DataMatrix(X)
+    assert np.array_equal(knn_graph(data, 5).to_dense(), dense_knn_graph(data, 5))
+    assert np.array_equal(kth_neighbor_distances(data, 5), dense_kth_neighbor_distances(data, 5))
+    assert ball_queries
+
+
+def test_knn_where_tree_and_exact_distances_order_points_differently_equals_dense_oracle():
+    # permutations of one 8-d vector are equally far from the origin in exact
+    # arithmetic, but the tree and _distances sum their squares in different
+    # orders, so the last bits, and the order they give, differ
+    inverted = False
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.5, 1.0, size=8)
+        X = np.vstack([np.zeros(8), [rng.permutation(v) for _ in range(20)]])
+        data = DataMatrix(X)
+        _, cols = graph.cKDTree(X).query(X[:1], k=21)
+        exact = graph._distances(X, np.zeros(21, dtype=np.intp), cols[0])
+        inverted |= bool(np.any(np.diff(exact) < 0))
+        for k in range(1, 20):
+            assert np.array_equal(knn_graph(data, k).to_dense(), dense_knn_graph(data, k))
+            assert np.array_equal(kth_neighbor_distances(data, k),
+                                  dense_kth_neighbor_distances(data, k))
+    assert inverted
+
+
+def test_points_whose_squared_distances_overflow_are_rejected():
+    X = np.random.default_rng(0).standard_normal((200, 2))
+    data = DataMatrix(X * 1e160)
+    for build in (lambda: knn_graph(data, 5), lambda: kth_neighbor_distances(data, 5),
+                  lambda: choose_epsilon(data), lambda: epsilon_graph(data, 1e160)):
+        with pytest.raises(GraphError, match="rescale the data"):
+            build()
+    scaled = DataMatrix(X * 1e150)
+    assert np.array_equal(knn_graph(scaled, 5).to_dense(), dense_knn_graph(scaled, 5))
+
+
 def test_kth_neighbor_count_must_be_in_range():
     data = DataMatrix(np.arange(4.0).reshape(-1, 1))
     for bad in (0, 4):
@@ -191,6 +273,14 @@ def test_normalize_isolated_row_stays_zero():
     A[0, 1] = A[1, 0] = 1.0
     out = symmetric_normalize(from_dense(A)).to_dense()
     assert np.all(out[2] == 0) and np.all(out[:, 2] == 0)
+
+
+def test_normalize_equals_dense_formula_bytes():
+    data, _ = generate(SyntheticSpec(shape="moons", m=300, noise=0.1, seed=0))
+    W = knn_graph(data, 10)
+    A = W.to_dense()
+    s = 1.0 / np.sqrt(A.sum(axis=1))
+    assert_same_csr(symmetric_normalize(W), from_dense(A * (s[:, None] * s[None, :])))
 
 
 def test_normalize_rejects_negative_weights():
