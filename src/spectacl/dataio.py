@@ -45,6 +45,7 @@ class EdgeList:
     """Undirected weighted edges over nodes 0..node_count-1, stored canonically:
     pairs holds the sorted, unique int64 rows (j, l) with j < l, and weights the
     float64 sum of the weights given for each pair (either orientation, in order).
+    Node ids must be below 2**31 - 1, the largest a 32-bit sparse index holds.
     """
 
     node_count: int
@@ -55,10 +56,18 @@ class EdgeList:
         ends = np.asarray(self.pairs, dtype=np.int64)
         weights = np.asarray(self.weights, dtype=np.float64)
         _reject_first(ends[:, 0] == ends[:, 1], ends, weights, "is a self-loop")
-        outside = np.any((ends < 0) | (ends >= self.node_count), axis=1)
-        _reject_first(outside, ends, weights, f"has a node outside [0,{self.node_count})")
+        # node ids fit a 32-bit sparse index, and the key lo * n + hi below is exact
+        _reject_first(np.any(ends >= 2**31 - 1, axis=1), ends, weights,
+                      "has a node index of 2**31 - 1 or more")
+        n = self.node_count
+        if n > 2**31 - 1:
+            raise DataIOError(f"node_count {n} is above 2**31 - 1")
+        outside = np.any((ends < 0) | (ends >= n), axis=1)
+        _reject_first(outside, ends, weights, f"has a node outside [0,{n})")
         _reject_first(weights < 0, ends, weights, "has a negative weight")
-        pairs, which = np.unique(np.sort(ends, axis=1), axis=0, return_inverse=True)
+        j, l = ends.T
+        keys, which = np.unique(np.minimum(j, l) * n + np.maximum(j, l), return_inverse=True)
+        pairs = np.column_stack(np.divmod(keys, n))
         summed = np.bincount(which, weights=weights, minlength=len(pairs))
         _reject_first(~np.isfinite(summed), pairs, summed, "has a non-finite weight")
         object.__setattr__(self, "pairs", pairs)

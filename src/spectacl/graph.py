@@ -11,6 +11,11 @@ results equal those of a dense distance matrix built with the same formula,
 bit for bit.  Coincident points (distance 0) are neighbors of each other in
 every graph and count toward every neighbor count; a point is never its own
 neighbor.
+
+Epsilon and edge-list graphs are assembled from the sorted, unique keys
+j * n + l of their pairs j < l: the keys give the upper triangle's CSR arrays
+directly, and one transpose-add gives the lower half (see `_undirected`), with
+no COO arrays in between.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class SparseSymmetricMatrix:
             raise GraphError(f"matrix is not square: {mat.shape}")
         if mat.nnz and not np.all(np.isfinite(mat.data)):
             raise GraphError("matrix contains non-finite weights")
-        if (mat != mat.T).nnz != 0:
+        flip = mat.T.tocsr()  # canonical, like mat, so equal arrays mean equal matrices
+        if not all(np.array_equal(getattr(mat, a), getattr(flip, a))
+                   for a in ("indptr", "indices", "data")):
             raise GraphError("matrix is not exactly symmetric")
         object.__setattr__(self, "matrix", mat)
 
@@ -106,20 +113,34 @@ def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
         raise GraphError(f"radius must be positive and finite, got {radius}")
     X = data.values
     _check_distances_fit(X)
-    pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
-    pairs = pairs[_distances(X, pairs[:, 0], pairs[:, 1]) < radius]
-    # a view, so the only array of ones is the one _undirected concatenates
-    return _undirected(pairs, np.broadcast_to(1.0, len(pairs)), data.m)
+
+    def upper_keys():
+        pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
+        j, l = pairs.T  # j < l, each pair once
+        keys = (j * data.m + l)[_distances(X, j, l) < radius]
+        keys.sort()
+        return keys, np.ones(keys.size)
+
+    return _undirected(upper_keys, data.m)
 
 
-def _undirected(pairs: np.ndarray, weights: np.ndarray, n: int) -> SparseSymmetricMatrix:
-    """n x n matrix with weights[i] at (j, l) and at (l, j) for each row (j, l)
-    of the E x 2 array pairs; repeated pairs sum."""
-    j, l = pairs.T
-    mat = sp.csr_matrix(
-        (np.concatenate([weights, weights]), (np.concatenate([j, l]), np.concatenate([l, j]))),
-        shape=(n, n),
-    )
+def _undirected(upper_keys, n: int) -> SparseSymmetricMatrix:
+    """n x n matrix with weights[i] at (j, l) and at (l, j) for each of the
+    sorted, unique keys[i] = j * n + l (j < l), where (keys, weights) =
+    upper_keys().
+
+    The strict upper triangle's CSR arrays come straight from the keys: row
+    starts by searchsorted against j * n, columns as key mod n.  One
+    transpose-add stores each pair in both orientations, with no COO arrays
+    and no second sort.  upper_keys is called here so that its arrays, and
+    then the upper triangle, are freed before the next step allocates.
+    """
+    keys, weights = upper_keys()
+    upper = sp.csr_matrix((weights, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
+                          shape=(n, n))
+    del keys, weights
+    mat = upper + upper.T
+    del upper
     return SparseSymmetricMatrix(mat)
 
 
@@ -247,4 +268,6 @@ def adjacency_from_edge_list(edges: EdgeList) -> SparseSymmetricMatrix:
     """Symmetric weighted adjacency from an undirected edge list."""
     if edges.node_count < 1:
         raise GraphError("edge list has no nodes")
-    return _undirected(edges.pairs, edges.weights, edges.node_count)
+    n = edges.node_count
+    j, l = edges.pairs.T
+    return _undirected(lambda: (j * n + l, edges.weights), n)

@@ -89,6 +89,14 @@ def test_graph_directory_is_runtime_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_graph_node_id_beyond_32_bit_index_is_runtime_error(tmp_path, capsys):
+    g = tmp_path / "graph.txt"
+    g.write_text("0 1\n1 3000000000\n")
+    code = run_cli(["--graph", str(g), "--algo", "spectacl", "-r", "2"])
+    assert code == 1
+    assert "edge (1,3000000000,1.0) has a node index of 2**31 - 1 or more" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["--algo", "spectacl", "-r", "0"],
     ["--algo", "spectacl", "-r", "61", "-d", "61"],

@@ -13,7 +13,10 @@ from spectacl.dataio import (
     write_clustering,
     write_csv_table,
 )
+from spectacl.graph import adjacency_from_edge_list
 from spectacl.kmeans import Clustering
+
+from conftest import assert_same_csr, from_dense
 
 
 def test_load_points_basic(tmp_path):
@@ -126,10 +129,15 @@ def test_edge_list_comments_and_blank_lines(tmp_path):
 
 
 def test_edge_list_matches_line_accumulation(tmp_path, rng):
-    lines = []
-    acc = {}
-    for _ in range(60):
-        j, l = rng.choice(8, size=2, replace=False).tolist()
+    # 150 distinct pairs over 2000 nodes, each mentioned about three times in
+    # either orientation, plus one pair whose only weight is 0
+    pool = [rng.choice(2000, size=2, replace=False).tolist() for _ in range(150)]
+    lines = ["1999 17 0"]
+    acc = {(17, 1999): 0.0}
+    for _ in range(450):
+        j, l = pool[rng.integers(len(pool))]
+        if rng.random() < 0.5:
+            j, l = l, j
         w = float(np.round(rng.uniform(0.1, 2.0), 3))
         lines.append(f"{j} {l} {w}")
         key = (min(j, l), max(j, l))
@@ -140,6 +148,13 @@ def test_edge_list_matches_line_accumulation(tmp_path, rng):
     assert [tuple(pair) for pair in el.pairs.tolist()] == sorted(acc)
     # sums in file order, exactly as the line-by-line accumulation
     assert dict(zip(map(tuple, el.pairs.tolist()), el.weights.tolist())) == acc
+    dense = np.zeros((2000, 2000))
+    for (j, l), w in acc.items():
+        dense[j, l] = dense[l, j] = w
+    W, expect = adjacency_from_edge_list(el), from_dense(dense)
+    assert_same_csr(W, expect)
+    for attr in ("indptr", "indices"):
+        assert getattr(W.matrix, attr).dtype == getattr(expect.matrix, attr).dtype
 
 
 @pytest.mark.parametrize(
@@ -151,11 +166,20 @@ def test_edge_list_matches_line_accumulation(tmp_path, rng):
         ([[0, 1], [1, 0]], [-2.0, 3.0], r"edge \(0,1,-2.0\) has a negative weight"),
         ([[0, 1], [1, 2]], [1.0, np.nan], r"edge \(1,2,nan\) has a non-finite weight"),
         ([[0, 1], [1, 0]], [1e308, 1e308], r"edge \(0,1,inf\) has a non-finite weight"),
+        ([[0, 1], [1, 2**31 - 1]], [1.0, 1.0],
+         r"edge \(1,2147483647,1.0\) has a node index of 2\*\*31 - 1 or more"),
     ],
 )
 def test_edge_list_rejects(pairs, weights, match):
     with pytest.raises(DataIOError, match=match):
         EdgeList(node_count=3, pairs=pairs, weights=weights)
+
+
+def test_edge_list_node_ids_fit_a_32_bit_index():
+    top = EdgeList(node_count=2**31 - 1, pairs=[[2**31 - 2, 2**31 - 3]], weights=[1.0])
+    assert top.pairs.tolist() == [[2**31 - 3, 2**31 - 2]]
+    with pytest.raises(DataIOError, match=r"node_count 2147483648 is above 2\*\*31 - 1"):
+        EdgeList(node_count=2**31, pairs=[[0, 1]], weights=[1.0])
 
 
 def test_write_clustering_rows(tmp_path):

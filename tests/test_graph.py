@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,33 @@ def test_knn_graph_and_kth_distances_at_m_1500_equal_dense_oracle_bytes(shape):
     data, _ = generate(SyntheticSpec(shape=shape, m=1500, noise=0.1, seed=0))
     assert_same_csr(knn_graph(data, 10), from_dense(dense_knn_graph(data, 10)))
     assert np.array_equal(kth_neighbor_distances(data, 10), dense_kth_neighbor_distances(data, 10))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("shape", ["moons", "circles", "blobs"])
+def test_epsilon_graph_at_m_1500_equals_dense_oracle_bytes(shape, scale):
+    data, _ = generate(SyntheticSpec(shape=shape, m=1500, noise=0.1, seed=0))
+    radius = scale * choose_epsilon(data)
+    W = epsilon_graph(data, radius)
+    expect = from_dense(dense_epsilon_graph(data, radius))
+    assert_same_csr(W, expect)
+    for attr in ("indptr", "indices"):
+        assert getattr(W.matrix, attr).dtype == getattr(expect.matrix, attr).dtype
+
+
+def test_epsilon_graph_peak_memory_is_at_most_2_5_times_the_graph():
+    data, _ = generate(SyntheticSpec(shape="blobs", m=6000, noise=0.1, seed=0))
+    radius = 2.0 * choose_epsilon(data)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        W = epsilon_graph(data, radius)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    graph_bytes = sum(getattr(W.matrix, attr).nbytes for attr in ("indptr", "indices", "data"))
+    assert peak <= 2.5 * graph_bytes
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
@@ -365,6 +393,21 @@ def test_sparse_matrix_rejects_asymmetry():
     A = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(GraphError, match="symmetric"):
         from_dense(A)
+    # the same pattern as its transpose, one value differs
+    B = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0000000000000004, 0.0]])
+    with pytest.raises(GraphError, match="symmetric"):
+        from_dense(B)
+
+    def stored(indices, data):  # 2 x 2, row 0 holds the first two entries
+        return sp.csr_matrix((np.array(data), np.array(indices), np.array([0, 2, 3])),
+                             shape=(2, 2))
+
+    # entry by entry (0,1) matches (1,0), but the duplicates sum to 2 against 1
+    with pytest.raises(GraphError, match="symmetric"):
+        SparseSymmetricMatrix(stored([1, 1, 0], [1.0, 1.0, 1.0]))
+    # the duplicates sum to the value stored once at (1,0)
+    W = SparseSymmetricMatrix(stored([1, 1, 0], [0.5, 1.5, 2.0]))
+    assert np.array_equal(W.to_dense(), [[0.0, 2.0], [2.0, 0.0]])
 
 
 @pytest.mark.parametrize("indptr, indices, data", [
