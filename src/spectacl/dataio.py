@@ -1,9 +1,10 @@
-"""CSV and edge-list I/O for point clouds, graphs, and clustering results."""
+"""CSV and edge-list I/O for point clouds, graphs, and clustering results,
+and the immutable point matrix and canonical edge list they load into."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,18 +18,27 @@ class DataIOError(ValueError):
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense m x n real feature matrix; point j is row j."""
+    """Dense m x n real feature matrix; point j is row j.
+
+    Immutable: values is a read-only float64 copy of the array given, so a
+    later write to that array does not reach it.  That makes it sound for
+    `graph._nearest` to keep each k's nearest-neighbor table on the matrix,
+    read-only, in a slot that is neither compared nor shown: m * k * 16 bytes
+    per distinct k asked for, freed with the matrix.
+    """
 
     values: np.ndarray
+    _neighbors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 2:
             raise DataIOError(f"expected a 2-d matrix, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DataIOError("matrix needs at least one row and one column")
         if not np.all(np.isfinite(arr)):
             raise DataIOError("matrix contains non-finite entries")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property

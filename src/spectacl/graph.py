@@ -8,9 +8,11 @@ formula of `_distances`: a ball query asks for a radius widened by TREE_SLACK,
 and the k nearest neighbors come from a query for k + 2 points, with a ball
 query only for the rows where those leave a tie open (see `_nearest`).  The
 results equal those of a dense distance matrix built with the same formula,
-bit for bit.  Coincident points (distance 0) are neighbors of each other in
-every graph and count toward every neighbor count; a point is never its own
-neighbor.
+bit for bit.  The k-nearest-neighbor table of a DataMatrix is computed once
+per k and kept on it, so `knn_graph`, `kth_neighbor_distances` and
+`choose_epsilon` on one dataset share one tree query.  Coincident points
+(distance 0) are neighbors of each other in every graph and count toward
+every neighbor count; a point is never its own neighbor.
 
 Epsilon and edge-list graphs are assembled from the sorted, unique keys
 j * n + l of their pairs j < l: the keys give the upper triangle's CSR arrays
@@ -168,7 +170,15 @@ def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     point within the tree's (k+1)-th distance, widened by TREE_SLACK, with a
     ball query, and sort those.  When q = m no point is left out, and a tied
     row's ball query finds what the tree returned.
+
+    The table is computed once per DataMatrix and k: it is kept on the
+    matrix, whose values never change, as read-only arrays, and later calls
+    return it.  A call that raises keeps nothing; two threads racing on one
+    k compute equal tables, and either may be kept.
     """
+    known = data._neighbors.get(k)
+    if known is not None:
+        return known
     X = data.values
     _check_distances_fit(X)
     m = data.m
@@ -185,7 +195,11 @@ def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     if tied.size:
         cols[tied], dist[tied, :k] = _nearest_in_ball(
             tree, X, tied, tree_dist[tied, k] * TREE_SLACK, k)
-    return cols, dist[:, :k]
+    table = np.ascontiguousarray(cols), np.ascontiguousarray(dist[:, :k])
+    for arr in table:
+        arr.flags.writeable = False
+    data._neighbors[k] = table
+    return table
 
 
 def _nearest_in_ball(tree: cKDTree, X: np.ndarray, rows: np.ndarray, radius: np.ndarray,

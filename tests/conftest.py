@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spectacl import eigen
+from spectacl import eigen, graph
 from spectacl.dataio import DataMatrix
 from spectacl.eigen import EigenPairs, EigenSolverError
 from spectacl.graph import SparseSymmetricMatrix
@@ -409,3 +409,21 @@ def trace_objective(data: np.ndarray, clustering: Clustering) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Counts of the cKDTree queries made through spectacl.graph, by method."""
+    calls = {"query": 0, "query_ball_point": 0}
+
+    class CountingTree(graph.cKDTree):
+        def query(self, *args, **kwargs):
+            calls["query"] += 1
+            return super().query(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            calls["query_ball_point"] += 1
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "cKDTree", CountingTree)
+    return calls

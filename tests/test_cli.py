@@ -1,5 +1,6 @@
 import csv
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -494,3 +495,32 @@ def test_sweep_builds_one_graph_per_clustering(monkeypatch, tmp_path):
     assert code == 0
     # 2 values x 2 repeats per algorithm: sc builds kNN graphs, dbscan epsilon graphs
     assert calls == {"epsilon_graph": 4, "knn_graph": 4}
+
+
+@pytest.mark.parametrize("algo", [["--algo", "sc,dbscan"], []], ids=["sc-dbscan", "all"])
+def test_noise_sweep_queries_each_dataset_once(tree_calls, tmp_path, algo):
+    code = run_cli([
+        "--gen", "moons", "--m", "120", "--sweep", "noise", "--values", "0.05,0.1",
+        "--repeats", "2", "-r", "2", "-d", "8", "--out", str(tmp_path / "s.csv"),
+    ] + algo)
+    assert code == 0
+    # every algorithm's neighbor query asks for k = 10 on the same 4 datasets
+    assert tree_calls["query"] == 4
+
+
+def test_sweep_keeps_no_dataset_or_neighbor_table_after_it_ends(monkeypatch, tmp_path):
+    datasets, original = [], cli.generate
+
+    def tracked(spec):
+        data, truth = original(spec)
+        datasets.append(weakref.ref(data))
+        return data, truth
+
+    monkeypatch.setattr(cli, "generate", tracked)
+    code = run_cli([
+        "--gen", "moons", "--m", "120", "--sweep", "noise", "--values", "0.05,0.1",
+        "--repeats", "2", "--algo", "sc,dbscan", "-r", "2", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 0
+    assert len(datasets) == 4
+    assert all(ref() is None for ref in datasets)

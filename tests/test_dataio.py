@@ -27,6 +27,16 @@ def test_load_points_basic(tmp_path):
     assert np.array_equal(data.values, [[0, 0], [1, 0], [0, 1]])
 
 
+def test_data_matrix_keeps_a_read_only_copy_of_its_values():
+    X = np.arange(6.0).reshape(3, 2)
+    data = DataMatrix(X)
+    X[0, 0] = np.nan
+    assert np.array_equal(data.values, np.arange(6.0).reshape(3, 2))
+    assert not data.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 0] = 1.0
+
+
 def test_load_points_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")

@@ -124,14 +124,16 @@ def test_kth_distances_and_epsilon_equal_dense_oracle(seed, m, kind, k, coverage
     assert np.array_equal(kth_neighbor_distances(data, k), kth)
     quantile = np.sort(kth)[min(m, max(1, math.ceil(coverage * m - 1e-9))) - 1]
     expect = np.finfo(np.float64).tiny if quantile <= 0 else quantile * RADIUS_NUDGE
-    assert choose_epsilon(data, neighbor_count=k, coverage=coverage) == expect
+    own = DataMatrix(data.values)  # its own query, not the table kept above
+    assert choose_epsilon(own, neighbor_count=k, coverage=coverage) == expect
 
 
 @pytest.mark.parametrize("shape", ["moons", "circles", "blobs"])
 def test_knn_graph_and_kth_distances_at_m_1500_equal_dense_oracle_bytes(shape):
     data, _ = generate(SyntheticSpec(shape=shape, m=1500, noise=0.1, seed=0))
     assert_same_csr(knn_graph(data, 10), from_dense(dense_knn_graph(data, 10)))
-    assert np.array_equal(kth_neighbor_distances(data, 10), dense_kth_neighbor_distances(data, 10))
+    own = DataMatrix(data.values)  # its own query, not the table knn_graph kept
+    assert np.array_equal(kth_neighbor_distances(own, 10), dense_kth_neighbor_distances(data, 10))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
@@ -168,38 +170,27 @@ def test_knn_with_every_point_returned_by_the_tree_equals_dense_oracle(kind, m):
     data = point_cloud(m, m, kind)
     for k in {m - 1, max(1, m - 2)}:
         assert np.array_equal(knn_graph(data, k).to_dense(), dense_knn_graph(data, k))
-        assert np.array_equal(kth_neighbor_distances(data, k),
+        assert np.array_equal(kth_neighbor_distances(DataMatrix(data.values), k),
                               dense_kth_neighbor_distances(data, k))
 
 
-@pytest.fixture
-def ball_queries(monkeypatch):
-    """One entry per cKDTree.query_ball_point call made through spectacl.graph."""
-    calls = []
-
-    class CountingTree(graph.cKDTree):
-        def query_ball_point(self, *args, **kwargs):
-            calls.append(1)
-            return super().query_ball_point(*args, **kwargs)
-
-    monkeypatch.setattr(graph, "cKDTree", CountingTree)
-    return calls
-
-
-def test_nearest_neighbors_of_spread_points_need_no_ball_query(ball_queries):
+def test_nearest_neighbors_of_spread_points_need_no_ball_query(tree_calls):
     data, _ = generate(SyntheticSpec(shape="moons", m=1500, noise=0.1, seed=0))
     knn_graph(data, 10)
-    choose_epsilon(data)
-    assert not ball_queries
+    choose_epsilon(DataMatrix(data.values))  # its own matrix, so its own query
+    assert tree_calls["query"] == 2
+    assert tree_calls["query_ball_point"] == 0
 
 
-def test_nearest_neighbors_among_many_coincident_points_take_the_ball_query(ball_queries):
+def test_nearest_neighbors_among_many_coincident_points_take_the_ball_query(tree_calls):
     # 30 copies of one point: the tree's k + 2 answers may leave out the point itself
     X = np.vstack([np.zeros((30, 2)), np.random.default_rng(0).uniform(-1, 1, size=(30, 2))])
     data = DataMatrix(X)
     assert np.array_equal(knn_graph(data, 5).to_dense(), dense_knn_graph(data, 5))
-    assert np.array_equal(kth_neighbor_distances(data, 5), dense_kth_neighbor_distances(data, 5))
-    assert ball_queries
+    assert tree_calls["query_ball_point"] == 1
+    own = DataMatrix(X)  # its own query, not the table knn_graph kept
+    assert np.array_equal(kth_neighbor_distances(own, 5), dense_kth_neighbor_distances(data, 5))
+    assert tree_calls["query_ball_point"] == 2
 
 
 def test_knn_where_tree_and_exact_distances_order_points_differently_equals_dense_oracle():
@@ -217,9 +208,25 @@ def test_knn_where_tree_and_exact_distances_order_points_differently_equals_dens
         inverted |= bool(np.any(np.diff(exact) < 0))
         for k in range(1, 20):
             assert np.array_equal(knn_graph(data, k).to_dense(), dense_knn_graph(data, k))
-            assert np.array_equal(kth_neighbor_distances(data, k),
+            assert np.array_equal(kth_neighbor_distances(DataMatrix(X), k),
                                   dense_kth_neighbor_distances(data, k))
     assert inverted
+
+
+def test_nearest_neighbor_table_is_kept_once_per_k_read_only(tree_calls):
+    # lattice points tie at the k-th distance, so ball-query rows are kept too
+    data = point_cloud(3, 60, "lattice")
+    calls = (lambda d: knn_graph(d, 5).to_dense(), lambda d: kth_neighbor_distances(d, 10),
+             lambda d: choose_epsilon(d, neighbor_count=5), lambda d: knn_graph(d, 10).to_dense(),
+             lambda d: kth_neighbor_distances(d, 5))
+    for call in calls:
+        assert np.array_equal(call(data), call(DataMatrix(data.values)))
+    assert tree_calls["query"] == 2 + len(calls)
+    assert tree_calls["query_ball_point"] > 0
+    assert sorted(data._neighbors) == [5, 10]
+    for k, (cols, dist) in data._neighbors.items():
+        assert cols.shape == dist.shape == (data.m, k)
+        assert not cols.flags.writeable and not dist.flags.writeable
 
 
 def test_points_whose_squared_distances_overflow_are_rejected():
@@ -229,6 +236,7 @@ def test_points_whose_squared_distances_overflow_are_rejected():
                   lambda: choose_epsilon(data), lambda: epsilon_graph(data, 1e160)):
         with pytest.raises(GraphError, match="rescale the data"):
             build()
+    assert data._neighbors == {}  # a call that raises keeps no table
     scaled = DataMatrix(X * 1e150)
     assert np.array_equal(knn_graph(scaled, 5).to_dense(), dense_knn_graph(scaled, 5))
 

@@ -327,6 +327,28 @@ def test_normalized_results_carry_the_normalized_knn_graph():
         assert_same_csr(result.graph, expected)
 
 
+def test_pipelines_on_one_data_matrix_share_one_nearest_neighbor_query(tree_calls):
+    data, _ = generate(SyntheticSpec(shape="moons", m=150, noise=0.1, seed=3))
+    spectral_clustering(data, 2)
+    dbscan(data, DbscanConfig())
+    spectacl(data, SpectaclConfig(r=2, variant="normalized", d=15))
+    assert tree_calls["query"] == 1
+    spectral_clustering(data, 2, k=5)
+    assert tree_calls["query"] == 2
+
+
+def test_a_later_write_to_the_callers_array_does_not_reach_the_pipelines():
+    X = generate(SyntheticSpec(shape="moons", m=150, noise=0.1, seed=3))[0].values.copy()
+    data = DataMatrix(X)
+    runs = (lambda d: spectacl(d, SpectaclConfig(r=2, d=15)),
+            lambda d: dbscan(d, DbscanConfig()))
+    expected = [run(DataMatrix(X)).labels for run in runs]
+    X[0, 0] = np.nan
+    X[1:] *= 3.0
+    for run, labels in zip(runs, expected):
+        assert np.array_equal(run(data).labels, labels)
+
+
 def test_normalized_spectacl_reports_each_single_error():
     W, _ = cliques_graph((3, 3))
     negative_diagonal = from_dense(W.to_dense() - np.eye(6))
