@@ -288,16 +288,22 @@ def run_sweep(args) -> list[tuple]:
     """Run the sweep grid and write its CSV: one row per (axis value,
     algorithm, repeat), then a mean and a std row per (axis value, algorithm)."""
     values, algorithms, grid = _sweep_grid(args)
-    rows = []
+    rows, datasets = [], []
     try:
         for axis_index, (value, (point, runs)) in enumerate(zip(values, grid)):
-            datasets = [generate(SyntheticSpec(
-                shape=args.gen, m=args.m, noise=point.noise,
-                seed=dataset_seed(args.seed, args.sweep, axis_index, repeat),
-            )) for repeat in range(args.repeats)]
+            # a parameter axis reuses the first grid point's datasets (their
+            # seeds ignore the axis index); a noise grid point frees the last
+            # point's datasets before it generates its own
+            if args.sweep == "noise" or not datasets:
+                datasets.clear()
+                datasets.extend(generate(SyntheticSpec(
+                    shape=args.gen, m=args.m, noise=point.noise,
+                    seed=dataset_seed(args.seed, args.sweep, axis_index, repeat),
+                )) for repeat in range(args.repeats))
             for algo, run in zip(algorithms, runs):
-                for repeat, (data, truth) in enumerate(datasets):
-                    _, runtime_ms, f_val, nmi_val = _run_and_score(run, data, truth)
+                # no loop variable of this scope is left holding a dataset
+                scored = (_run_and_score(run, data, truth) for data, truth in datasets)
+                for repeat, (_, runtime_ms, f_val, nmi_val) in enumerate(scored):
                     rows.append((args.sweep, value, algo, repeat, f_val, nmi_val, runtime_ms))
     except (UsageError, PipelineError, DataGenError):
         raise

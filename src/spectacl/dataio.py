@@ -66,17 +66,16 @@ class EdgeList:
         ends = np.asarray(self.pairs, dtype=np.int64)
         weights = np.asarray(self.weights, dtype=np.float64)
         _reject_first(ends[:, 0] == ends[:, 1], ends, weights, "is a self-loop")
+        j, l = ends.T
+        lo, hi = np.minimum(j, l), np.maximum(j, l)
         # node ids fit a 32-bit sparse index, and the key lo * n + hi below is exact
-        _reject_first(np.any(ends >= 2**31 - 1, axis=1), ends, weights,
-                      "has a node index of 2**31 - 1 or more")
+        _reject_first(hi >= 2**31 - 1, ends, weights, "has a node index of 2**31 - 1 or more")
         n = self.node_count
         if n > 2**31 - 1:
             raise DataIOError(f"node_count {n} is above 2**31 - 1")
-        outside = np.any((ends < 0) | (ends >= n), axis=1)
-        _reject_first(outside, ends, weights, f"has a node outside [0,{n})")
+        _reject_first((lo < 0) | (hi >= n), ends, weights, f"has a node outside [0,{n})")
         _reject_first(weights < 0, ends, weights, "has a negative weight")
-        j, l = ends.T
-        keys, which = np.unique(np.minimum(j, l) * n + np.maximum(j, l), return_inverse=True)
+        keys, which = np.unique(lo * n + hi, return_inverse=True)
         pairs = np.column_stack(np.divmod(keys, n))
         summed = np.bincount(which, weights=weights, minlength=len(pairs))
         _reject_first(~np.isfinite(summed), pairs, summed, "has a non-finite weight")
@@ -91,10 +90,10 @@ def _reject_first(bad, pairs, weights, problem):
         raise DataIOError(f"edge ({j},{l},{w}) {problem}")
 
 
-def _read_lines(path):
+def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            return fh.read()
     except FileNotFoundError:
         raise DataIOError(f"missing file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -106,7 +105,7 @@ def _read_table(path, delimiter, has_header) -> np.ndarray:
 
     Every row must have the width of the first; errors name the row and column.
     """
-    lines = _read_lines(path)
+    lines = _read_text(path).splitlines()
     if has_header:
         lines = lines[1:]
     rows = [line.split(delimiter) for line in lines if line.strip()]
@@ -151,10 +150,45 @@ def load_edge_list(path) -> EdgeList:
     """Load a whitespace-separated "j l [w]" edge list; '#' lines are comments.
 
     Duplicate mentions of the same node pair (either orientation) sum their
-    weights in file order; a missing weight counts as 1.
+    weights in file order; a missing weight counts as 1.  A file without '#'
+    whose lines all hold two fields, or all three, is converted in one numpy
+    pass; the line loop runs for any other file and whenever that pass fails.
     """
+    text = _read_text(path)
+    lines = text.splitlines()
+    ends, weights = _edges_in_one_pass(text, lines) or _edges_line_by_line(lines)
+    return EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
+
+
+def _edges_in_one_pass(text, lines):
+    """(ends, weights) of an edge list without '#' whose non-blank lines all
+    hold 2 fields or all hold 3, or None for any other file and whenever a
+    conversion fails.  numpy parses each node id with int() and each weight
+    with float(), as the line loop does, so it accepts and rejects the same
+    tokens; only the loop reads comments and names a bad line."""
+    if "#" in text:
+        return None
+    widths = set(map(len, map(str.split, lines))) - {0}
+    if widths not in ({2}, {3}):
+        return None
+    tokens = text.split()  # line breaks are whitespace, so the lines' fields in order
+    try:
+        if widths == {3}:
+            weights = np.array(tokens[2::3], dtype=np.float64)
+            del tokens[2::3]
+        else:
+            weights = np.ones(len(tokens) // 2)
+        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
+    return ends, weights
+
+
+def _edges_line_by_line(lines):
+    """(ends, weights) of the edge list's lines, parsed one line at a time so
+    that an error names the first bad line."""
     ends, weights = [], []
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -168,8 +202,7 @@ def load_edge_list(path) -> EdgeList:
             weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
         except ValueError:
             raise DataIOError(f"line {i}: bad weight in {line!r}") from None
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    return EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2), weights
 
 
 def write_clustering(path, clustering) -> None:

@@ -18,6 +18,10 @@ Epsilon and edge-list graphs are assembled from the sorted, unique keys
 j * n + l of their pairs j < l: the keys give the upper triangle's CSR arrays
 directly, and one transpose-add gives the lower half (see `_undirected`), with
 no COO arrays in between.
+
+`cKDTree` is imported by the two functions that build a tree, not with this
+module: importing scipy.spatial takes about 0.1 s, and a run on an edge list
+or a ready-made matrix never builds one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .dataio import DataMatrix, EdgeList
 
@@ -117,6 +120,8 @@ def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
     _check_distances_fit(X)
 
     def upper_keys():
+        from scipy.spatial import cKDTree  # deferred: graph input never loads scipy.spatial
+
         pairs = cKDTree(X).query_pairs(radius * TREE_SLACK, output_type="ndarray")
         j, l = pairs.T  # j < l, each pair once
         keys = (j * data.m + l)[_distances(X, j, l) < radius]
@@ -179,6 +184,8 @@ def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     known = data._neighbors.get(k)
     if known is not None:
         return known
+    from scipy.spatial import cKDTree  # deferred: graph input never loads scipy.spatial
+
     X = data.values
     _check_distances_fit(X)
     m = data.m
@@ -202,10 +209,11 @@ def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _nearest_in_ball(tree: cKDTree, X: np.ndarray, rows: np.ndarray, radius: np.ndarray,
+def _nearest_in_ball(tree, X: np.ndarray, rows: np.ndarray, radius: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     """(cols, dist) as in `_nearest` for the given rows, each of whose balls
-    of the given radius holds at least k points other than itself."""
+    of the given radius holds at least k points other than itself; tree is
+    the cKDTree of X."""
     balls = tree.query_ball_point(X[rows], radius, return_sorted=False)
     owner = np.repeat(rows, np.fromiter(map(len, balls), dtype=np.intp, count=rows.size))
     cols = np.concatenate(balls)

@@ -4,6 +4,10 @@ Objectives: per-cluster density (Rayleigh quotient of the membership
 indicator) and the summed average-density objective.  External scores:
 Hungarian-matched F-measure and normalized mutual information against a
 ground-truth labeling.
+
+`hungarian` imports `linear_sum_assignment` when it is called, not with this
+module: importing scipy.optimize takes about 0.2 s and 16 MB, and only a run
+scored against ground truth needs it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import SparseSymmetricMatrix
 from .kmeans import NOISE, Clustering
@@ -135,5 +138,7 @@ def hungarian(matrix: np.ndarray, maximize: bool = False) -> dict[int, int]:
         raise MetricError(f"score matrix must be 2-d, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise MetricError("score matrix has non-finite entries")
+    from scipy.optimize import linear_sum_assignment  # deferred: only scoring needs scipy.optimize
+
     rows, cols = linear_sum_assignment(mat, maximize=maximize)
     return {int(s): int(t) for s, t in zip(rows, cols)}

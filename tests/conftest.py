@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.spatial
 
-from spectacl import eigen, graph
+from spectacl import eigen
 from spectacl.dataio import DataMatrix
 from spectacl.eigen import EigenPairs, EigenSolverError
 from spectacl.graph import SparseSymmetricMatrix
@@ -413,10 +414,13 @@ def rng():
 
 @pytest.fixture
 def tree_calls(monkeypatch):
-    """Counts of the cKDTree queries made through spectacl.graph, by method."""
+    """Counts of the cKDTree queries made through spectacl.graph, by method.
+
+    graph imports cKDTree when it builds a tree, so the patch goes on
+    scipy.spatial, where that import finds it."""
     calls = {"query": 0, "query_ball_point": 0}
 
-    class CountingTree(graph.cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def query(self, *args, **kwargs):
             calls["query"] += 1
             return super().query(*args, **kwargs)
@@ -425,5 +429,5 @@ def tree_calls(monkeypatch):
             calls["query_ball_point"] += 1
             return super().query_ball_point(*args, **kwargs)
 
-    monkeypatch.setattr(graph, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     return calls

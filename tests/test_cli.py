@@ -508,19 +508,48 @@ def test_noise_sweep_queries_each_dataset_once(tree_calls, tmp_path, algo):
     assert tree_calls["query"] == 4
 
 
-def test_sweep_keeps_no_dataset_or_neighbor_table_after_it_ends(monkeypatch, tmp_path):
-    datasets, original = [], cli.generate
+def track_generated(monkeypatch):
+    """Weak references to every DataMatrix cli.generate makes, and the number
+    of them alive when each generate call starts."""
+    datasets, live_at_call, original = [], [], cli.generate
 
     def tracked(spec):
+        live_at_call.append(sum(ref() is not None for ref in datasets))
         data, truth = original(spec)
         datasets.append(weakref.ref(data))
         return data, truth
 
     monkeypatch.setattr(cli, "generate", tracked)
+    return datasets, live_at_call
+
+
+def test_sweep_keeps_no_dataset_or_neighbor_table_after_it_ends(monkeypatch, tmp_path):
+    datasets, live_at_call = track_generated(monkeypatch)
     code = run_cli([
         "--gen", "moons", "--m", "120", "--sweep", "noise", "--values", "0.05,0.1",
         "--repeats", "2", "--algo", "sc,dbscan", "-r", "2", "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 0
     assert len(datasets) == 4
+    # a grid point's datasets are released before the next grid point's are made
+    assert live_at_call == [0, 1, 0, 1]
+    assert all(ref() is None for ref in datasets)
+
+
+# the kNN queries: one per dataset for spectacl's automatic radius, none for
+# dbscan's given one, and one per dataset and k for sc's graph
+@pytest.mark.parametrize("axis, values, algo, queries", [
+    ("d", "5,10,20", "spectacl", 2), ("epsilon", "0.2,0.3,0.4", "dbscan", 0),
+    ("k", "5,10,20", "sc", 6),
+])
+def test_parameter_sweep_generates_each_dataset_once(
+        monkeypatch, tree_calls, tmp_path, axis, values, algo, queries):
+    datasets, _ = track_generated(monkeypatch)
+    code = run_cli([
+        "--gen", "moons", "--m", "300", "--sweep", axis, "--values", values,
+        "--repeats", "2", "--algo", algo, "-r", "2", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 0
+    assert len(datasets) == 2
+    assert tree_calls["query"] == queries
     assert all(ref() is None for ref in datasets)

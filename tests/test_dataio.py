@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectacl import dataio
 from spectacl.dataio import (
     DataIOError,
     DataMatrix,
@@ -243,3 +244,99 @@ def test_data_matrix_rejects_nan():
 def test_data_matrix_rejects_empty():
     with pytest.raises(DataIOError):
         DataMatrix(np.zeros((0, 2)))
+
+
+# Tokens the one-pass parse and the line loop must treat alike: signs,
+# underscores, a float as a node id, non-ASCII digits and whitespace,
+# non-finite and out-of-range numbers, comment marks and junk.
+TOKENS = ["0", "1", "2", "17", "+1", "-1", "-0", "007", "1_0", "1__0", "_1", "1_", "1.0",
+          "1e3", "2.5", "0.5", "1_0.5", ".5", "5.", "nan", "-nan", "NaN", "inf", "-inf",
+          "Infinity", "1e400", "\u0661", "\u0663\u0662", "\uff11", "\u00b2", "0x10", "x", "",
+          "#", "#c", "99999999999999999999", "9223372036854775808"]
+PLAIN = st.sampled_from(["0", "1", "2", "17", "0.5"])
+SEPARATORS = [" ", "  ", "\t", " \t", "\u00a0", "\u2003", "\x1f"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028"]
+
+
+@st.composite
+def token_lines(draw, widths, delimiters):
+    """Text whose lines mostly share one field count, with comment and
+    blank lines, padding and mixed line ends."""
+    width = draw(st.sampled_from(widths))
+    delimiter = draw(st.sampled_from(delimiters))
+    text = ""
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["other width", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# c", "  #x 1 2"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            count = width if kind == "row" else draw(st.integers(1, 4))
+            fields = draw(st.lists(PLAIN | st.sampled_from(TOKENS), min_size=count,
+                                   max_size=count))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            line = pad + delimiter.join(fields) + pad
+        text += line + draw(st.sampled_from(LINE_ENDS))
+    return text
+
+
+def outcome(call):
+    """What a call returns, as comparable bytes, or the type and text of what it raises."""
+    try:
+        result = call()
+    except (DataIOError, ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_lines(widths=[2, 3], delimiters=SEPARATORS))
+def test_edge_list_one_pass_accepts_and_rejects_what_the_loop_does(tmp_path_factory, text):
+    lines = text.splitlines()
+    fast = dataio._edges_in_one_pass(text, lines)
+    loop = outcome(lambda: dataio._edges_line_by_line(lines))
+    fields = {len(line.split()) for line in lines} - {0}
+    if "#" not in text and fields in ({2}, {3}):
+        # the one-pass parse rejects exactly what the loop rejects ...
+        assert (fast is None) == isinstance(loop, tuple)
+    if fast is not None:
+        # ... and what it accepts, it parses to the loop's bytes
+        assert outcome(lambda: fast) == loop
+    # the loader ends as the loop plus EdgeList does, message included
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def by_loop():
+        ends, weights = dataio._edges_line_by_line(lines)
+        edges = EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
+        return edges.pairs, edges.weights
+
+    def loaded():
+        edges = load_edge_list(path)
+        return edges.pairs, edges.weights
+
+    assert outcome(loaded) == outcome(by_loop)
+
+
+def test_graph_file_takes_the_one_pass_parse_and_equals_the_loop(tmp_path, rng):
+    # about 40000 'j l' lines over 3000 nodes, as a planted-partition file
+    # holds, then the same pairs with weights
+    keys = np.unique(rng.integers(0, 3000 * 3000, size=40000))
+    j, l = np.divmod(keys, 3000)
+    keep = j != l
+    pairs = np.column_stack([np.minimum(j, l), np.maximum(j, l)])[keep]
+    weights = rng.uniform(0.0, 2.0, size=len(pairs))
+    for name, body in [("plain", [f"{a} {b}" for a, b in pairs.tolist()]),
+                       ("weighted", [f"{a}\t{b} {w!r}" for (a, b), w
+                                     in zip(pairs.tolist(), weights.tolist())])]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(body) + "\n")
+        text = path.read_text()
+        lines = text.splitlines()
+        fast = dataio._edges_in_one_pass(text, lines)
+        assert fast is not None
+        assert outcome(lambda: fast) == outcome(lambda: dataio._edges_line_by_line(lines))
+        # a comment line leaves the whole file to the loop
+        assert dataio._edges_in_one_pass("# j l\n" + text, ["# j l"] + lines) is None

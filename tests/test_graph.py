@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,7 +204,7 @@ def test_knn_where_tree_and_exact_distances_order_points_differently_equals_dens
         v = rng.uniform(0.5, 1.0, size=8)
         X = np.vstack([np.zeros(8), [rng.permutation(v) for _ in range(20)]])
         data = DataMatrix(X)
-        _, cols = graph.cKDTree(X).query(X[:1], k=21)
+        _, cols = cKDTree(X).query(X[:1], k=21)
         exact = graph._distances(X, np.zeros(21, dtype=np.intp), cols[0])
         inverted |= bool(np.any(np.diff(exact) < 0))
         for k in range(1, 20):
