@@ -4,10 +4,6 @@ Objectives: per-cluster density (Rayleigh quotient of the membership
 indicator) and the summed average-density objective.  External scores:
 Hungarian-matched F-measure and normalized mutual information against a
 ground-truth labeling.
-
-`hungarian` imports `linear_sum_assignment` when it is called, not with this
-module: importing scipy.optimize takes about 0.2 s and 16 MB, and only a run
-scored against ground truth needs it.
 """
 
 from __future__ import annotations
@@ -15,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .graph import SparseSymmetricMatrix
 from .kmeans import NOISE, Clustering
@@ -56,15 +54,21 @@ def average_density_objective(clustering: Clustering, W: SparseSymmetricMatrix) 
     return total
 
 
-def contingency_table(pred: Clustering, truth: Clustering) -> np.ndarray:
-    """Co-occurrence counts (int64): non-noise predicted clusters (rows) crossed
-    with truth classes (cols)."""
+def _joint_counts(pred: Clustering, truth: Clustering) -> np.ndarray:
+    """Co-occurrence counts (int64) by label - NOISE on both sides: row and
+    column 0 count the noise points, row s + 1 cluster s, column t + 1 class t."""
     if pred.m != truth.m:
         raise MetricError(f"length mismatch: {pred.m} vs {truth.m}")
-    counts = np.zeros((pred.n_clusters, truth.n_clusters), dtype=np.int64)
-    kept = pred.labels != NOISE
-    np.add.at(counts, (pred.labels[kept], truth.labels[kept]), 1)
-    return counts
+    cols = truth.n_clusters + 1
+    cells = (pred.n_clusters + 1) * cols
+    flat = np.bincount((pred.labels - NOISE) * cols + (truth.labels - NOISE), minlength=cells)
+    return flat.reshape(-1, cols)
+
+
+def contingency_table(pred: Clustering, truth: Clustering) -> np.ndarray:
+    """Co-occurrence counts (int64): non-noise predicted clusters (rows) crossed
+    with truth classes (cols); a point that is noise on either side counts nowhere."""
+    return _joint_counts(pred, truth)[1:, 1:]
 
 
 def f_measure(pred: Clustering, truth: Clustering) -> MatchResult:
@@ -85,9 +89,10 @@ def f_measure(pred: Clustering, truth: Clustering) -> MatchResult:
     r, r_true = pred.n_clusters, truth.n_clusters
     if r == 0:
         return MatchResult(mapping={}, total_f=0.0)
-    counts = contingency_table(pred, truth).astype(np.float64)
+    joint = _joint_counts(pred, truth)
+    counts = joint[1:, 1:].astype(np.float64)
     pred_sizes = counts.sum(axis=1)
-    truth_sizes = truth.sizes().astype(np.float64)
+    truth_sizes = joint[:, 1:].sum(axis=0).astype(np.float64)  # pred noise included
     with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where the overlap is 0
         pre = counts / pred_sizes[:, None]
         rec = counts / truth_sizes
@@ -108,12 +113,10 @@ def nmi(pred: Clustering, truth: Clustering) -> float:
         raise MetricError(f"length mismatch: {pred.m} vs {truth.m}")
     if pred.m == 0:
         raise MetricError("empty clusterings")
-    _, a = np.unique(pred.labels, return_inverse=True)
-    _, b = np.unique(truth.labels, return_inverse=True)
-    m = pred.m
-    joint = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
-    np.add.at(joint, (a, b), 1)
-    pij = joint / m
+    joint = _joint_counts(pred, truth)
+    # occupied categories only, C-ordered so the sums below run in the same order
+    joint = joint[np.ix_(joint.any(axis=1), joint.any(axis=0))]
+    pij = joint / pred.m
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)
     h_pred = -float(np.sum(pi[pi > 0] * np.log(pi[pi > 0])))
@@ -132,13 +135,31 @@ def hungarian(matrix: np.ndarray, maximize: bool = False) -> dict[int, int]:
 
     Equivalent to padding the smaller side with zero-score dummies; rows left
     unassigned on a wide-vs-tall mismatch are simply absent from the mapping.
+    The mapping is in row order.
+
+    Solved by scipy.sparse.csgraph's LAPJVsp (Jonker & Volgenant), which
+    minimizes over nonzero weights only, so the costs C (the scores, negated
+    when maximizing) are lifted to 0.5*C - 0.5*min(C) + 1 >= 1.  Every full
+    matching of the smaller side has the same size, so the lift keeps the
+    optimum, and halving first keeps finite scores finite.  The result is
+    optimal up to rounding at the scale of the lifted costs: differences far
+    below the matrix's range (entries near 1e-300 beside 1.0) are lost.
     """
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise MetricError(f"score matrix must be 2-d, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise MetricError("score matrix has non-finite entries")
-    from scipy.optimize import linear_sum_assignment  # deferred: only scoring needs scipy.optimize
-
-    rows, cols = linear_sum_assignment(mat, maximize=maximize)
+    if mat.size == 0:
+        return {}
+    tall = mat.shape[0] > mat.shape[1]  # cheaper to transpose here than as a sparse matrix
+    half = 0.5 * (mat.T if tall else mat)
+    lifted = (half.max() - half if maximize else half - half.min()) + 1.0
+    n, k = lifted.shape
+    biadjacency = sp.csr_matrix(
+        (lifted.ravel(), np.arange(n * k) % k, np.arange(0, n * k + 1, k)), shape=(n, k))
+    rows, cols = min_weight_full_bipartite_matching(biadjacency)
+    if tall:
+        order = np.argsort(cols)
+        rows, cols = cols[order], rows[order]
     return {int(s): int(t) for s, t in zip(rows, cols)}

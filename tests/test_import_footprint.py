@@ -1,6 +1,6 @@
-"""Which scipy subpackages a run loads: `import spectacl` and graph runs load
-neither scipy.optimize nor scipy.spatial, an unlabeled point run loads only
-scipy.spatial, and a scored run loads both.
+"""Which scipy subpackages a run loads: `import spectacl`, graph runs and the
+scores alone load neither scipy.optimize nor scipy.spatial, and a point run,
+scored or not, loads only scipy.spatial.
 
 Each case runs in a fresh interpreter, because pytest and hypothesis load
 scipy themselves."""
@@ -82,8 +82,34 @@ def test_unlabeled_point_run_loads_no_optimize(tmp_path):
     assert result["loaded"] == ["scipy.spatial"]
 
 
-def test_generated_run_loads_both():
-    result = run_fresh(PROBE, "--gen", "moons", "--m", "80", "--algo", "spectacl", "-r", "2",
-                       "-d", "4")
-    assert result["code"] == 0 and "F=" in result["out"]
-    assert result["loaded"] == list(DEFERRED)
+@pytest.mark.parametrize("mode", ["run", "sweep"])
+def test_scored_run_loads_only_spatial(tmp_path, mode):
+    skip_if_scipy_loads("scipy.optimize")
+    argv = ["--gen", "moons", "--m", "80", "--algo", "spectacl", "-r", "2", "-d", "4"]
+    if mode == "sweep":
+        argv += ["--sweep", "noise", "--values", "0.05,0.1", "--repeats", "2",
+                 "--out", str(tmp_path / "s.csv")]
+    result = run_fresh(PROBE, *argv)
+    assert result["code"] == 0
+    if mode == "run":
+        assert "F=" in result["out"]
+    else:
+        assert len((tmp_path / "s.csv").read_text().splitlines()) > 4
+    assert result["loaded"] == ["scipy.spatial"]
+
+
+def test_scores_load_neither():
+    skip_if_scipy_loads(*DEFERRED)
+    source = """
+import json, sys
+import numpy as np
+import spectacl
+from spectacl.kmeans import Clustering
+truth = Clustering(np.array([0, 0, 1, 1, 2]), 3)
+pred = Clustering(np.array([1, 1, 0, -1, 0]), 2)
+print(json.dumps({"f": spectacl.f_measure(pred, truth).total_f, "nmi": spectacl.nmi(pred, truth),
+                  "loaded": [m for m in %r if m in sys.modules]}))
+""" % (DEFERRED,)
+    result = run_fresh(source)
+    assert 0.0 < result["f"] < 1.0 and 0.0 < result["nmi"] < 1.0
+    assert result["loaded"] == []

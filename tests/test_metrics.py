@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectacl.graph import symmetric_normalize
@@ -24,6 +24,7 @@ from conftest import (
     from_dense,
     random_epsilon_graph,
     ratio_cut,
+    reference_nmi,
 )
 
 
@@ -219,6 +220,12 @@ def test_contingency_counts():
     assert np.array_equal(table, [[1, 1], [1, 1]])  # the noise point counts nowhere
 
 
+def test_contingency_ignores_noise_on_either_side():
+    pred = Clustering(labels=np.array([0, 0, 1, 1, -1, 1]), n_clusters=2)
+    truth = Clustering(labels=np.array([0, -1, 1, 1, 0, -1]), n_clusters=2)
+    assert np.array_equal(contingency_table(pred, truth), [[1, 0], [0, 2]])
+
+
 def test_nmi_identical():
     cl = labels_of([0, 1, 0, 1, 2], 3)
     assert nmi(cl, cl) == pytest.approx(1.0)
@@ -255,6 +262,24 @@ def test_nmi_bounds_and_relabeling_invariance(seed):
     assert nmi(relabeled, b) == pytest.approx(val, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(0, 12), st.integers(1, 12),
+       st.booleans())
+@example(seed=0, m=2, r=0, r_true=1, noisy=True)
+@example(seed=1, m=60, r=6, r_true=1, noisy=False)
+@example(seed=5, m=40, r=12, r_true=2, noisy=False)
+def test_nmi_bit_identical_to_unique_counts(seed, m, r, r_true, noisy):
+    # empty clusters, noise on either side, and categories absent from one
+    # side; eight or more rows or columns change numpy's summation order
+    # unless the table is C-ordered
+    rng = np.random.default_rng(seed)
+    pred = rng.integers(-1 if noisy or r == 0 else 0, r, size=m)
+    truth = rng.integers(-1 if noisy else 0, r_true, size=m)
+    a, b = Clustering(pred, r), Clustering(truth, r_true)
+    assert nmi(a, b) == reference_nmi(a, b)
+    assert nmi(b, a) == reference_nmi(b, a)
+
+
 def test_hungarian_identity():
     assert hungarian(np.eye(3), maximize=True) == {0: 0, 1: 1, 2: 2}
 
@@ -273,6 +298,61 @@ def test_hungarian_matches_brute_force(rng):
         got = sum(scores[s, t] for s, t in mapping.items())
         best, _ = brute_force_assignment(scores, maximize=True)
         assert got == pytest.approx(best, abs=1e-12)
+
+
+def f_score_matrix(rng, rows, cols):
+    """The F matrix of random labelings: mostly zeros, with exact ties."""
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols))
+    m = int(rng.integers(1, 12))
+    pred = Clustering(rng.integers(0, rows, size=m), rows)
+    truth = Clustering(rng.integers(0, cols, size=m), cols)
+    counts = contingency_table(pred, truth).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pre = counts / counts.sum(axis=1, keepdims=True)
+        rec = counts / counts.sum(axis=0)
+        return np.where(counts > 0, 2 * pre * rec / (pre + rec), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from(["uniform", "ties", "f-scores", "signed"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(rows=0, cols=3, kind="uniform", maximize=False, seed=0)
+@example(rows=4, cols=0, kind="ties", maximize=True, seed=0)
+def test_hungarian_matches_linear_sum_assignment(rows, cols, kind, maximize, seed):
+    from scipy.optimize import linear_sum_assignment  # the oracle
+
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        scores = rng.uniform(0, 1, size=(rows, cols))
+    elif kind == "ties":
+        scores = rng.integers(0, 3, size=(rows, cols)).astype(float)
+    elif kind == "f-scores":
+        scores = f_score_matrix(rng, rows, cols)
+    else:
+        scores = rng.normal(0, 3, size=(rows, cols))
+    mapping = hungarian(scores, maximize=maximize)
+    assert list(mapping) == sorted(mapping)
+    assert len(mapping) == min(rows, cols)
+    assert len(set(mapping.values())) == len(mapping)
+    assert all(0 <= s < rows and 0 <= t < cols for s, t in mapping.items())
+    got = sum(scores[s, t] for s, t in mapping.items())
+    best_rows, best_cols = linear_sum_assignment(scores, maximize=maximize)
+    assert abs(got - scores[best_rows, best_cols].sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize("tall", [False, True])
+def test_hungarian_extreme_scores_do_not_overflow(maximize, tall):
+    # the costs span 2e308; lifting them without halving first would give inf
+    scores = np.array([[1e308, -1e308, 0.0], [-1e308, 1e308, 5.0]])
+    expected = {0: 0, 1: 1} if maximize else {0: 1, 1: 0}
+    if tall:
+        scores = scores.T
+        expected = dict(sorted((t, s) for s, t in expected.items()))
+    with np.errstate(over="raise", invalid="raise"):
+        assert hungarian(scores, maximize=maximize) == expected
 
 
 def test_hungarian_beats_spot_mappings(rng):
