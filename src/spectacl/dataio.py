@@ -23,8 +23,9 @@ class DataMatrix:
     Immutable: values is a read-only float64 copy of the array given, so a
     later write to that array does not reach it.  That makes it sound for
     `graph._nearest` to keep each k's nearest-neighbor table on the matrix,
-    read-only, in a slot that is neither compared nor shown: m * k * 16 bytes
-    per distinct k asked for, freed with the matrix.
+    read-only, in a slot that is neither compared nor shown: m * k * 12 bytes
+    (int32 indices and float64 distances) per distinct k asked for, freed
+    with the matrix.
     """
 
     values: np.ndarray

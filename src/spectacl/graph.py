@@ -8,8 +8,11 @@ formula of `_distances`: a ball query asks for a radius widened by TREE_SLACK,
 and the k nearest neighbors come from a query for k + 2 points, with a ball
 query only for the rows where those leave a tie open (see `_nearest`).  The
 results equal those of a dense distance matrix built with the same formula,
-bit for bit.  The k-nearest-neighbor table of a DataMatrix is computed once
-per k and kept on it, so `knn_graph`, `kth_neighbor_distances` and
+bit for bit.  `_distances` takes its pairs in blocks whose gathered
+coordinates fit in DISTANCE_BLOCK_BYTES, so besides its one result array no
+temporary grows with the number of pairs times the number of columns.  The
+k-nearest-neighbor table of a DataMatrix is computed once per k and kept on
+it, with 32-bit indices, so `knn_graph`, `kth_neighbor_distances` and
 `choose_epsilon` on one dataset share one tree query.  Coincident points
 (distance 0) are neighbors of each other in every graph and count toward
 every neighbor count; a point is never its own neighbor.
@@ -41,6 +44,9 @@ RADIUS_NUDGE = 1.0 + 2.0 ** -40
 # Relative widening of every tree query radius; far above the rounding gap
 # between the tree's distances and those of `_distances`.
 TREE_SLACK = 1.0 + 1e-9
+# `_distances` gathers the coordinates of its pairs in blocks whose two
+# pairs x n float64 arrays fit in this many bytes (at least one pair a block).
+DISTANCE_BLOCK_BYTES = 1 << 20
 
 
 class GraphError(ValueError):
@@ -106,9 +112,18 @@ def _distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     inner-product shortcut), so values near a ball boundary are not perturbed
     by cancellation and d(j, l) == d(l, j) exactly.  Every strict "<" test in
     this module is applied to these values, never to the tree's own distances.
+
+    The pairs are taken in blocks under DISTANCE_BLOCK_BYTES, each summed
+    into its slice of the result, so no temporary grows with the number of
+    pairs; each pair's value is the same as a one-shot computation's.
     """
-    diff = X[rows] - X[cols]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    block = max(1, DISTANCE_BLOCK_BYTES // (16 * X.shape[1]))
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, block):
+        diff = X[rows[lo:lo + block]]
+        diff -= X[cols[lo:lo + block]]
+        np.einsum("ij,ij->i", diff, diff, out=out[lo:lo + block])
+    return np.sqrt(out, out=out)
 
 
 def epsilon_graph(data: DataMatrix, radius: float) -> SparseSymmetricMatrix:
@@ -160,7 +175,8 @@ def _check_distances_fit(X: np.ndarray) -> None:
 
 def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(cols, dist): m x k arrays holding each point's k nearest other points
-    in (exact distance, index) order, and their `_distances`.
+    in (exact distance, index) order, and their `_distances`; cols is int32
+    (int64 when m is too large for it), the index type of a CSR matrix.
 
     One tree query returns q = k + 2 candidates per point (all m points when
     m is smaller): self, k others and one more.  Sorted by (exact distance,
@@ -202,7 +218,8 @@ def _nearest(data: DataMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     if tied.size:
         cols[tied], dist[tied, :k] = _nearest_in_ball(
             tree, X, tied, tree_dist[tied, k] * TREE_SLACK, k)
-    table = np.ascontiguousarray(cols), np.ascontiguousarray(dist[:, :k])
+    index = np.int32 if m <= np.iinfo(np.int32).max else np.intp
+    table = cols.astype(index), np.ascontiguousarray(dist[:, :k])
     for arr in table:
         arr.flags.writeable = False
     data._neighbors[k] = table

@@ -137,20 +137,22 @@ def _sq_dist(X: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_init(X: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: subsequent centers drawn proportional to squared distance."""
+    """k-means++ seeding: subsequent centers drawn proportional to squared
+    distance.  Each draw first takes the center drawn before it into the
+    distances, so none are computed after the last draw."""
     m = X.shape[0]
     first = int(rng.integers(m))
     centers = np.empty((r, X.shape[1]), dtype=np.float64)
     centers[0] = X[first]
-    d2 = _sq_dist(X, centers[0])
     for i in range(1, r):
+        dist = _sq_dist(X, centers[i - 1])
+        d2 = dist if i == 1 else np.minimum(d2, dist)
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(m))
         else:
             idx = int(rng.choice(m, p=d2 / total))
         centers[i] = X[idx]
-        d2 = np.minimum(d2, _sq_dist(X, centers[i]))
     return centers
 
 

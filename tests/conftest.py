@@ -19,7 +19,6 @@ from spectacl.kmeans import (
     Clustering,
     ClusteringError,
     KMeansResult,
-    _kmeanspp_init,
 )
 from spectacl.metrics import MetricError
 
@@ -332,8 +331,28 @@ def reference_restarts(data, r, restarts=10, seed=0):
     """(KMeansResult, number of empty clusters reseeded) of every restart of
     reference_kmeans, in restart order."""
     X = np.asarray(data, dtype=np.float64)
-    return [_reference_lloyd(X, _kmeanspp_init(X, r, np.random.default_rng(child)))
+    return [_reference_lloyd(X, reference_kmeanspp_init(X, r, np.random.default_rng(child)))
             for child in np.random.SeedSequence(seed).spawn(restarts)]
+
+
+def reference_kmeanspp_init(X, r, rng):
+    """The earlier k-means++ seeding loop, kept as the oracle for
+    spectacl.kmeans._kmeanspp_init: it also updates the squared distances
+    after the last center is drawn, which nothing reads."""
+    m = X.shape[0]
+    first = int(rng.integers(m))
+    centers = np.empty((r, X.shape[1]), dtype=np.float64)
+    centers[0] = X[first]
+    d2 = _reference_sq_dist(X, centers[0])
+    for i in range(1, r):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centers[i] = X[idx]
+        d2 = np.minimum(d2, _reference_sq_dist(X, centers[i]))
+    return centers
 
 
 def _reference_sq_dist(X, c):

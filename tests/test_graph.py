@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectacl import graph
@@ -162,6 +162,60 @@ def test_epsilon_graph_peak_memory_is_at_most_2_5_times_the_graph():
         tracemalloc.stop()
     graph_bytes = sum(getattr(W.matrix, attr).nbytes for attr in ("indptr", "indices", "data"))
     assert peak <= 2.5 * graph_bytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 40),
+       st.sampled_from((1, 2, 3, None)))
+@example(seed=0, n=2, pairs=0, block=1)
+@example(seed=0, n=2, pairs=1, block=2)
+def test_blocked_distances_equal_one_shot_formula(seed, n, pairs, block):
+    """Blocks of 1, 2 and 3 pairs (DISTANCE_BLOCK_BYTES holds two n-column
+    float64 rows per pair) and the default give the one-shot values bit for
+    bit, on strided index columns like those of a pair array."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 20))
+    X = rng.standard_normal((m, n)) * 10.0 ** int(rng.integers(-3, 4))
+    rows, cols = rng.integers(0, m, size=(pairs, 2)).T
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(graph, "DISTANCE_BLOCK_BYTES", block * 16 * n)
+        got = graph._distances(X, rows, cols)
+    # after the call, so that freed memory holding these values cannot be
+    # what the call's result happens to start from
+    diff = X[rows] - X[cols]
+    want = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    assert got.dtype == np.float64 and got.shape == (pairs,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_distances_hold_no_pair_sized_temporary():
+    # one-shot, 200k pairs in 3 columns would hold three 4.8 MB temporaries
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1000, 3))
+    rows, cols = rng.integers(0, 1000, size=(200_000, 2)).T
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = graph._distances(X, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2 * graph.DISTANCE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
+def test_nearest_neighbor_table_has_read_only_int32_indices_and_knn_csr_is_unchanged(kind):
+    # lattice and duplicate clouds tie at the k-th distance: ball-query rows
+    data = point_cloud(5, 60, kind)
+    for k in (1, 5, 10):
+        W = knn_graph(data, k)
+        cols, dist = data._neighbors[k]
+        assert cols.dtype == np.int32 and dist.dtype == np.float64
+        assert cols.flags.c_contiguous and not cols.flags.writeable
+        assert_same_csr(W, from_dense(dense_knn_graph(data, k)))
+        assert W.matrix.indices.dtype == W.matrix.indptr.dtype == np.int32
 
 
 @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])

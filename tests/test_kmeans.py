@@ -97,6 +97,25 @@ def test_kmeans_matches_reference(seed, kind, r, restarts):
     assert_same_result(kmeans(X, r, restarts=restarts, seed=seed), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "lattice"]), st.integers(1, 6))
+def test_kmeanspp_seeding_matches_reference(seed, kind, r):
+    """Seeding computes no distances after its last draw, and so makes the
+    same random calls as the reference loop and draws the same centres; a
+    one-point lattice takes the uniform draw of an all-zero distance sum."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(r, 40))
+    if kind == "gaussian":
+        X = rng.standard_normal((m, int(rng.integers(1, 5))))
+    else:
+        X = lattice_points(rng, m, int(rng.integers(1, 4)))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = kmeans_module._kmeanspp_init(X, r, got_rng)
+    want = conftest.reference_kmeanspp_init(X, r, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # Inputs on which the one-product screen of the assignment step is inaccurate
 # or not finite, so only the exact recheck reproduces the reference labels: an
 # offset cancels most of |c|^2 - 2 c.x, an offset near 2^512 overflows it and
