@@ -24,7 +24,7 @@ from . import dataio, metrics, svg
 from .datagen import SHAPES, DataGenError, SyntheticSpec, generate
 from .dataio import DataMatrix
 from .graph import adjacency_from_edge_list
-from .kmeans import Clustering
+from .kmeans import NOISE, Clustering
 from .pipelines import (
     DbscanConfig,
     PipelineError,
@@ -119,8 +119,8 @@ def _parse_eps(text):
         value = float(text)
     except ValueError:
         raise UsageError(f"--eps expects 'auto' or a number, got {text!r}") from None
-    if value <= 0:
-        raise UsageError(f"--eps must be positive, got {value}")
+    if not np.isfinite(value) or value <= 0:
+        raise UsageError(f"--eps must be positive and finite, got {value}")
     return value
 
 
@@ -211,7 +211,7 @@ def run_cluster(args) -> None:
         fields.append(f"F={f_val:.6g}")
         fields.append(f"NMI={nmi_val:.6g}")
     if clustering.has_noise:
-        fields.append(f"noise_points={int(np.sum(clustering.labels == -1))}")
+        fields.append(f"noise_points={int(np.sum(clustering.labels == NOISE))}")
     fields.append(f"runtime_ms={runtime_ms:.1f}")
     print(" ".join(fields))
 

@@ -3,6 +3,7 @@ and the immutable point matrix and canonical edge list they load into."""
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -151,59 +152,30 @@ def load_edge_list(path) -> EdgeList:
     """Load a whitespace-separated "j l [w]" edge list; '#' lines are comments.
 
     Duplicate mentions of the same node pair (either orientation) sum their
-    weights in file order; a missing weight counts as 1.  A file without '#'
-    whose lines all hold two fields, or all three, is converted in one numpy
-    pass; the line loop runs for any other file and whenever that pass fails.
+    weights in file order; a missing weight counts as 1.  The file is parsed
+    one line at a time, so an error names the first bad line.
     """
-    text = _read_text(path)
-    lines = text.splitlines()
-    ends, weights = _edges_in_one_pass(text, lines) or _edges_line_by_line(lines)
-    return EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
-
-
-def _edges_in_one_pass(text, lines):
-    """(ends, weights) of an edge list without '#' whose non-blank lines all
-    hold 2 fields or all hold 3, or None for any other file and whenever a
-    conversion fails.  numpy parses each node id with int() and each weight
-    with float(), as the line loop does, so it accepts and rejects the same
-    tokens; only the loop reads comments and names a bad line."""
-    if "#" in text:
-        return None
-    widths = set(map(len, map(str.split, lines))) - {0}
-    if widths not in ({2}, {3}):
-        return None
-    tokens = text.split()  # line breaks are whitespace, so the lines' fields in order
-    try:
-        if widths == {3}:
-            weights = np.array(tokens[2::3], dtype=np.float64)
-            del tokens[2::3]
-        else:
-            weights = np.ones(len(tokens) // 2)
-        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
-        return None
-    return ends, weights
-
-
-def _edges_line_by_line(lines):
-    """(ends, weights) of the edge list's lines, parsed one line at a time so
-    that an error names the first bad line."""
-    ends, weights = [], []
-    for i, line in enumerate(lines, start=1):
+    # int64 and float64 buffers: an id beyond int64 fails on the line that
+    # holds it, and no Python object is kept per edge
+    ends, weights = array("q"), array("d")
+    for i, line in enumerate(_read_text(path).splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) not in (2, 3):
             raise DataIOError(f"line {i}: expected 'j l [w]', got {line!r}")
         try:
-            ends.append((int(parts[0]), int(parts[1])))
+            ends.extend((int(parts[0]), int(parts[1])))
         except ValueError:
             raise DataIOError(f"line {i}: non-integer node index in {line!r}") from None
+        except OverflowError:
+            raise DataIOError(f"line {i}: node index outside the int64 range in {line!r}") from None
         try:
             weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
         except ValueError:
             raise DataIOError(f"line {i}: bad weight in {line!r}") from None
-    return np.array(ends, dtype=np.int64).reshape(-1, 2), weights
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
 
 
 def write_clustering(path, clustering) -> None:

@@ -86,7 +86,7 @@ class SpectaclConfig:
         if self.restarts < 1:
             raise PipelineError(f"need restarts >= 1, got {self.restarts}")
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
-            raise PipelineError(f"epsilon must be positive, got {self.epsilon}")
+            raise PipelineError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.d < self.r:
             warnings.warn(
                 f"embedding dimension d={self.d} is below the cluster count r={self.r}",
@@ -101,7 +101,7 @@ class DbscanConfig:
 
     def __post_init__(self):
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
-            raise PipelineError(f"epsilon must be positive, got {self.epsilon}")
+            raise PipelineError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.min_pts < 1:
             raise PipelineError(f"need min_pts >= 1, got {self.min_pts}")
 

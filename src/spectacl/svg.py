@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kmeans import NOISE
+
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -23,7 +25,7 @@ _HEADER = (
 
 
 def color_for(label: int) -> str:
-    if label < 0:
+    if label == NOISE:
         return NOISE_COLOR
     return PALETTE[label % len(PALETTE)]
 
@@ -43,7 +45,7 @@ def _scale(values, lo_px, hi_px):
 
 
 def scatter_svg(path, points, labels, width=640, height=640, title=None) -> None:
-    """One circle per point, colored by cluster id; noise (-1) in gray."""
+    """One circle per point, colored by cluster id; noise (NOISE, -1) in gray."""
     pts = np.asarray(points, dtype=np.float64)
     labs = np.asarray(labels)
     margin = 20.0

@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spectacl import cli, graph
+from spectacl import cli, graph, svg
 from spectacl.cli import main
+from spectacl.kmeans import NOISE
 
 
 def run_cli(args):
@@ -179,6 +180,29 @@ def test_scatter_plot_svg(tmp_path):
     assert root.tag.endswith("svg")
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     assert len(circles) == 60
+
+
+def test_dbscan_noise_is_counted_and_plotted_grey(tmp_path, capsys):
+    out, plot = tmp_path / "labels.csv", tmp_path / "scatter.svg"
+    code = run_cli([
+        "--gen", "moons", "--noise", "0.1", "--m", "200", "--algo", "dbscan",
+        "--eps", "0.25", "--min-pts", "10", "--out", str(out), "--plot", str(plot),
+    ])
+    assert code == 0
+    labels = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    noise = labels.count(NOISE)
+    assert 0 < noise < len(labels)
+    assert f" noise_points={noise} " in capsys.readouterr().out
+    fills = [el.get("fill") for el in ET.parse(plot).getroot().iter() if el.tag.endswith("circle")]
+    assert [fill == "#bbbbbb" for fill in fills] == [label == NOISE for label in labels]
+
+
+def test_scatter_of_coincident_points_is_centred(tmp_path):
+    plot = tmp_path / "one_spot.svg"
+    svg.scatter_svg(plot, np.ones((3, 2)), [0, 1, NOISE])
+    circles = [el for el in ET.parse(plot).getroot().iter() if el.tag.endswith("circle")]
+    assert {(c.get("cx"), c.get("cy")) for c in circles} == {("320.00", "320.00")}
+    assert [c.get("fill") for c in circles] == [*svg.PALETTE[:2], svg.NOISE_COLOR]
 
 
 def test_labeled_csv_input_reports_f(tmp_path, capsys):
@@ -445,6 +469,41 @@ def test_sweep_d_axis_shares_datasets(tmp_path):
 def test_eps_flag_rejects_garbage(capsys):
     code = run_cli(["--gen", "moons", "--m", "50", "--algo", "dbscan", "--eps", "soon"])
     assert code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--gen", "moons", "--algo", "dbscan", "--eps", "-1"],
+     "--eps must be positive and finite, got -1.0"),
+    *[(["--gen", "moons", "--algo", algo, "-r", "2", "--eps", eps],
+       f"--eps must be positive and finite, got {eps}")
+      for algo in ("spectacl", "sc", "dbscan") for eps in ("inf", "nan")],
+    (["--gen", "moons", "--algo", "spectacl,sc", "-r", "2"], "comma lists are for --sweep"),
+    (["--graph", "GRAPH", "--algo", "dbscan"], "dbscan needs point data, not a graph"),
+    (["--graph", "GRAPH", "--sweep", "noise", "--values", "0.1", "--algo", "dbscan"],
+     "--sweep requires --gen"),
+    (["--gen", "moons", "--sweep", "noise", "--algo", "dbscan"], "--sweep requires --values"),
+    (["--gen", "moons", "--sweep", "noise", "--values", "0.1,x", "--algo", "dbscan"],
+     "bad --values list: '0.1,x'"),
+    (["--gen", "moons", "--sweep", "k", "--values", "5,7.5", "--algo", "sc", "-r", "2"],
+     "axis 'k' takes integer values"),
+    (["--gen", "moons", "--sweep", "d", "--values", "10.5", "--algo", "spectacl", "-r", "2"],
+     "axis 'd' takes integer values"),
+    (["--gen", "moons", "--sweep", "noise", "--values", "0.1", "--algo", "dbscan",
+      "--repeats", "0"], "repeats must be >= 1"),
+], ids=["eps-negative", "spectacl-eps-inf", "spectacl-eps-nan", "sc-eps-inf", "sc-eps-nan",
+        "dbscan-eps-inf", "dbscan-eps-nan", "comma-list-run", "dbscan-on-graph",
+        "sweep-without-gen", "sweep-without-values", "sweep-bad-values", "sweep-k-fraction",
+        "sweep-d-fraction", "sweep-repeats-zero"])
+def test_usage_error_names_the_problem_and_writes_no_output(tmp_path, capsys, args, message):
+    edges = tmp_path / "graph.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "out.csv"
+    args = [str(edges) if a == "GRAPH" else a for a in args]
+    code = run_cli(args + ["--m", "60", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert not out.exists()
 
 
 def count_calls(monkeypatch, *names):

@@ -89,3 +89,5 @@ def test_spec_validation():
         SyntheticSpec(shape="moons", m=10, noise=-0.1)
     with pytest.raises(DataGenError):
         SyntheticSpec(shape="circles", m=10, factor=1.5)
+    with pytest.raises(DataGenError, match="at least one blob center"):
+        SyntheticSpec(shape="blobs", m=10, centers=0)

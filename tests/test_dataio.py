@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectacl import dataio
 from spectacl.dataio import (
     DataIOError,
     DataMatrix,
@@ -246,9 +247,9 @@ def test_data_matrix_rejects_empty():
         DataMatrix(np.zeros((0, 2)))
 
 
-# Tokens the one-pass parse and the line loop must treat alike: signs,
+# Tokens the edge-list loader must load or reject with a DataIOError: signs,
 # underscores, a float as a node id, non-ASCII digits and whitespace,
-# non-finite and out-of-range numbers, comment marks and junk.
+# non-finite numbers, node ids beyond int64, comment marks and junk.
 TOKENS = ["0", "1", "2", "17", "+1", "-1", "-0", "007", "1_0", "1__0", "_1", "1_", "1.0",
           "1e3", "2.5", "0.5", "1_0.5", ".5", "5.", "nan", "-nan", "NaN", "inf", "-inf",
           "Infinity", "1e400", "\u0661", "\u0663\u0662", "\uff11", "\u00b2", "0x10", "x", "",
@@ -281,62 +282,62 @@ def token_lines(draw, widths, delimiters):
     return text
 
 
-def outcome(call):
-    """What a call returns, as comparable bytes, or the type and text of what it raises."""
-    try:
-        result = call()
-    except (DataIOError, ValueError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
-    arrays = result if isinstance(result, tuple) else (result,)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(token_lines(widths=[2, 3], delimiters=SEPARATORS))
-def test_edge_list_one_pass_accepts_and_rejects_what_the_loop_does(tmp_path_factory, text):
-    lines = text.splitlines()
-    fast = dataio._edges_in_one_pass(text, lines)
-    loop = outcome(lambda: dataio._edges_line_by_line(lines))
-    fields = {len(line.split()) for line in lines} - {0}
-    if "#" not in text and fields in ({2}, {3}):
-        # the one-pass parse rejects exactly what the loop rejects ...
-        assert (fast is None) == isinstance(loop, tuple)
-    if fast is not None:
-        # ... and what it accepts, it parses to the loop's bytes
-        assert outcome(lambda: fast) == loop
-    # the loader ends as the loop plus EdgeList does, message included
+def test_edge_list_loads_or_raises_data_io_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("edges") / "g.txt"
     path.write_text(text, encoding="utf-8", newline="")
-
-    def by_loop():
-        ends, weights = dataio._edges_line_by_line(lines)
-        edges = EdgeList(node_count=int(ends.max(initial=-1)) + 1, pairs=ends, weights=weights)
-        return edges.pairs, edges.weights
-
-    def loaded():
-        edges = load_edge_list(path)
-        return edges.pairs, edges.weights
-
-    assert outcome(loaded) == outcome(by_loop)
+    try:
+        assert isinstance(load_edge_list(path), EdgeList)
+    except DataIOError as exc:
+        # an error names the first bad line, or the first bad edge
+        assert re.match(r"line \d+: |edge \(", str(exc)), str(exc)
 
 
-def test_graph_file_takes_the_one_pass_parse_and_equals_the_loop(tmp_path, rng):
-    # about 40000 'j l' lines over 3000 nodes, as a planted-partition file
-    # holds, then the same pairs with weights
+def test_edge_list_node_id_beyond_int64_names_its_line(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n# ids\n1 99999999999999999999\n")
+    with pytest.raises(DataIOError, match=r"line 3: node index outside the int64 range"):
+        load_edge_list(p)
+    p.write_text(f"0 1\n1 {2**63 - 1}\n")
+    with pytest.raises(DataIOError, match=r"has a node index of 2\*\*31 - 1 or more"):
+        load_edge_list(p)
+
+
+def test_graph_file_loads_the_pairs_and_weights_written(tmp_path, rng):
+    # about 40000 distinct pairs over 3000 nodes, as a planted-partition file
+    # holds, written in shuffled order and orientation, then with weights,
+    # each file once as it is and once after a comment and a blank line
     keys = np.unique(rng.integers(0, 3000 * 3000, size=40000))
     j, l = np.divmod(keys, 3000)
-    keep = j != l
-    pairs = np.column_stack([np.minimum(j, l), np.maximum(j, l)])[keep]
+    pairs = np.column_stack([j, l])[j < l]
     weights = rng.uniform(0.0, 2.0, size=len(pairs))
-    for name, body in [("plain", [f"{a} {b}" for a, b in pairs.tolist()]),
-                       ("weighted", [f"{a}\t{b} {w!r}" for (a, b), w
-                                     in zip(pairs.tolist(), weights.tolist())])]:
-        path = tmp_path / f"{name}.txt"
-        path.write_text("\n".join(body) + "\n")
-        text = path.read_text()
-        lines = text.splitlines()
-        fast = dataio._edges_in_one_pass(text, lines)
-        assert fast is not None
-        assert outcome(lambda: fast) == outcome(lambda: dataio._edges_line_by_line(lines))
-        # a comment line leaves the whole file to the loop
-        assert dataio._edges_in_one_pass("# j l\n" + text, ["# j l"] + lines) is None
+    order = rng.permutation(len(pairs))
+    flip = rng.random(len(pairs)) < 0.5
+    written = pairs[order]
+    written[flip] = written[flip, ::-1]
+    for name, body, expect in [
+        ("plain", [f"{a} {b}" for a, b in written.tolist()], np.ones(len(pairs))),
+        ("weighted", [f"{a}\t{b} {w!r}" for (a, b), w
+                      in zip(written.tolist(), weights[order].tolist())], weights),
+    ]:
+        for header in ("", "# j l [w]\n\n"):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(header + "\n".join(body) + "\n")
+            edges = load_edge_list(path)
+            assert edges.node_count == pairs.max() + 1
+            assert np.array_equal(edges.pairs, pairs)
+            assert edges.weights.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: DataMatrix(np.zeros(3)), r"expected a 2-d matrix, got shape \(3,\)"),
+    (lambda tmp: load_labeled_points(tmp / "one_column.csv"), "at least one feature column"),
+    (lambda tmp: write_clustering(tmp, Clustering(labels=np.zeros(1), n_clusters=1)),
+     "cannot write"),
+    (lambda tmp: write_csv_table(tmp / "missing" / "t.csv", ("a",), [(1,)]), "cannot write"),
+], ids=["matrix-1d", "labeled-one-column", "write-to-directory", "write-to-missing-directory"])
+def test_data_io_rejects(tmp_path, call, match):
+    (tmp_path / "one_column.csv").write_text("0\n1\n")
+    with pytest.raises(DataIOError, match=match):
+        call(tmp_path)

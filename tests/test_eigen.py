@@ -336,3 +336,13 @@ def test_laplacian_eigs_checks_residuals(monkeypatch, no_dense_fallback):
     with pytest.raises(EigenSolverError, match="did not reach") as info:
         laplacian_eigs(W, symmetric_normalize(W), 3)
     assert info.value.residual > eigen.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: EigenPairs(values=np.ones(2), vectors=np.eye(3)), "inconsistent shapes"),
+    (lambda: laplacian_eigs(*[cliques_graph((3,))[0]] * 2, 0), "need 1 <= r <= m, got r=0, m=3"),
+    (lambda: laplacian_eigs(*[cliques_graph((3,))[0]] * 2, 4), "need 1 <= r <= m, got r=4, m=3"),
+], ids=["pairs-shapes", "laplacian-r-zero", "laplacian-r-above-m"])
+def test_eigen_rejects_bad_arguments(call, match):
+    with pytest.raises(EigenSolverError, match=match):
+        call()

@@ -494,3 +494,21 @@ def test_components_are_numbered_by_lowest_member():
     count, labels = components(W.matrix)
     assert count == 3
     assert labels.tolist() == [0, 1, 1, 0, 2]
+
+
+TWO_POINTS = DataMatrix(np.array([[0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SparseSymmetricMatrix(sp.csr_matrix((2, 3))), r"not square: \(2, 3\)"),
+    (lambda: from_dense([[0.0, np.inf], [np.inf, 0.0]]), "non-finite weights"),
+    (lambda: epsilon_graph(TWO_POINTS, 0.0), "radius must be positive and finite"),
+    (lambda: epsilon_graph(TWO_POINTS, np.inf), "radius must be positive and finite"),
+    (lambda: epsilon_graph(TWO_POINTS, np.nan), "radius must be positive and finite"),
+    (lambda: choose_epsilon(TWO_POINTS, 1, coverage=0.0), r"coverage must be in \(0, 1\]"),
+    (lambda: choose_epsilon(TWO_POINTS, 1, coverage=1.5), r"coverage must be in \(0, 1\]"),
+], ids=["not-square", "non-finite-weight", "radius-zero", "radius-inf", "radius-nan",
+        "coverage-zero", "coverage-above-one"])
+def test_graph_rejects_bad_arguments(call, match):
+    with pytest.raises(GraphError, match=match):
+        call()

@@ -341,3 +341,14 @@ def test_clustering_label_validation():
     cl = Clustering(labels=np.array([0, -1]), n_clusters=1)
     assert cl.has_noise
     assert cl.sizes().tolist() == [1]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Clustering(labels=np.zeros((2, 2)), n_clusters=1),
+     r"labels must be 1-d, got shape \(2, 2\)"),
+    (lambda: kmeans(np.zeros(3), 1), r"data must be 2-d, got shape \(3,\)"),
+    (lambda: kmeans(np.zeros((3, 2)), 1, restarts=0), "need restarts >= 1, got 0"),
+], ids=["labels-2d", "data-1d", "restarts-zero"])
+def test_kmeans_rejects_bad_arguments(call, match):
+    with pytest.raises(ClusteringError, match=match):
+        call()

@@ -366,3 +366,21 @@ def test_hungarian_beats_spot_mappings(rng):
 def test_hungarian_rejects_nonfinite():
     with pytest.raises(MetricError):
         hungarian(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: density(np.ones(2), cliques_graph((3,))[0]), r"vector length \(2,\) does not match"),
+    (lambda: average_density_objective(labels_of([0, 0], 1), cliques_graph((3,))[0]),
+     "dimension mismatch"),
+    (lambda: average_density_objective(labels_of([0, 0, 0], 2), cliques_graph((3,))[0]),
+     "cluster 1 is empty"),
+    (lambda: contingency_table(labels_of([0], 1), labels_of([0, 0], 1)), "length mismatch: 1 vs 2"),
+    (lambda: f_measure(labels_of([], 0), labels_of([], 0)), "ground truth has no classes"),
+    (lambda: nmi(labels_of([0], 1), labels_of([0, 0], 1)), "length mismatch: 1 vs 2"),
+    (lambda: nmi(labels_of([], 0), labels_of([], 0)), "empty clusterings"),
+    (lambda: hungarian(np.ones(3)), r"score matrix must be 2-d, got shape \(3,\)"),
+], ids=["density-length", "objective-length", "objective-empty-cluster", "contingency-length",
+        "f-no-classes", "nmi-length", "nmi-empty", "hungarian-1d"])
+def test_metrics_reject_bad_arguments(call, match):
+    with pytest.raises(MetricError, match=match):
+        call()
