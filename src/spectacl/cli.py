@@ -37,7 +37,6 @@ from .pipelines import (
 )
 
 ALGORITHMS = ("spectacl", "spectacl-norm", "sc", "dbscan")
-SWEEP_AXES = ("noise", "epsilon", "k", "d")
 # which algorithms consume which swept parameter
 AXIS_ALGORITHMS = {
     "noise": ALGORITHMS,
@@ -45,6 +44,7 @@ AXIS_ALGORITHMS = {
     "k": ("spectacl-norm", "sc"),
     "d": ("spectacl", "spectacl-norm"),
 }
+SWEEP_AXES = tuple(AXIS_ALGORITHMS)
 
 
 class UsageError(ValueError):
@@ -146,19 +146,26 @@ def _load_input(args):
     return adjacency_from_edge_list(dataio.load_edge_list(args.graph)), None
 
 
-def _build_run(name, args):
-    """The call that clusters points or a graph with the named algorithm and
-    the parameters of the parsed arguments `args`.  Every check the run's
-    config makes is made here, before any clustering.  The pipeline is looked
-    up in this module when the call runs, so a wrapper patched onto its name
-    after import (as benchmark/tracer.py does) is the one called."""
+def _build_run(name, args, m, points):
+    """The call that clusters an input of m points (point data if `points`,
+    else a graph) with the named algorithm and the parameters of the parsed
+    arguments `args`.  Every check of the call is made here, before any
+    clustering: the algorithm, -r, that r and k fit m, that dbscan has point
+    data, then the config's checks.  The pipeline is looked up in this module
+    when the call runs, so a wrapper patched onto its name after import (as
+    benchmark/tracer.py does) is the one called."""
     if name not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if name == "dbscan":
+        if not points:
+            raise UsageError("dbscan needs point data, not a graph")
         config = DbscanConfig(epsilon=args.epsilon, min_pts=args.min_pts)
         return lambda source: dbscan(source, config)
     if args.r is None:
         raise UsageError(f"{name} requires -r")
+    check_cluster_count(args.r, m)
+    if points and name in AXIS_ALGORITHMS["k"] and not 1 <= args.k < m:
+        raise UsageError(f"need 1 <= k < m, got k={args.k}, m={m}")
     if name == "sc":
         check_spectral_clustering(args.r, args.restarts)
         return lambda source: spectral_clustering(source, args.r, k=args.k, seed=args.seed,
@@ -169,6 +176,18 @@ def _build_run(name, args):
         seed=args.seed, restarts=args.restarts,
     )
     return lambda source: spectacl(source, config)
+
+
+def _check_eps(args, algorithms, points):
+    """A given --eps is used by an algorithm of the run or sweep that builds
+    an epsilon graph from point data, and is not replaced by a swept one."""
+    if args.epsilon is None:
+        return
+    if args.sweep == "epsilon":
+        raise UsageError(f"--eps {args.epsilon:g} is unused: --sweep epsilon replaces it")
+    if not points or set(algorithms).isdisjoint(AXIS_ALGORITHMS["epsilon"]):
+        raise UsageError(f"--eps {args.epsilon:g} is unused: {','.join(algorithms)} on this "
+                         "input builds no epsilon graph")
 
 
 def _run_and_score(run, source, truth):
@@ -188,13 +207,9 @@ def run_cluster(args) -> None:
     algo = args.algo or "spectacl"
     if "," in algo:
         raise UsageError("a single run takes one --algo; comma lists are for --sweep")
-    run = _build_run(algo, args)
     points = isinstance(source, DataMatrix)
-    if args.epsilon is not None and (not points or algo not in AXIS_ALGORITHMS["epsilon"]):
-        raise UsageError(f"--eps {args.epsilon:g} is unused: {algo} on this input builds no "
-                         "epsilon graph")
-    if algo == "dbscan" and not points:
-        raise UsageError("dbscan needs point data, not a graph")
+    run = _build_run(algo, args, source.m if points else source.dim, points)
+    _check_eps(args, (algo,), points)
     if args.plot and not points:
         raise UsageError("--plot needs point data")
     if args.plot and source.n < 2:
@@ -225,7 +240,7 @@ def run_cluster(args) -> None:
 def _sweep_grid(args):
     """The (values, algorithms, grid) of a `--sweep` run: grid[i] is the
     parsed arguments of values[i]'s single runs, with the call of each
-    algorithm.  The sweep's own arguments, the dataset and `k` of every grid
+    algorithm.  The sweep's own arguments, --eps, the dataset of every grid
     point and every call are checked here, so a swept and a fixed value fail
     alike, before any clustering or file write."""
     if not args.gen:
@@ -248,22 +263,16 @@ def _sweep_grid(args):
     bad = [a for a in algorithms if a not in AXIS_ALGORITHMS[args.sweep]]
     if bad:
         raise UsageError(f"algorithms {bad} do not consume the swept parameter {args.sweep!r}")
+    _check_eps(args, algorithms, True)
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
     if args.out is None:
         raise UsageError("--sweep requires --out FILE for the result table")
     points = [argparse.Namespace(**{**vars(args), args.sweep: value}) for value in values]
-    # k and r are checked against the data by the graph and the pipeline,
-    # so no config owns these checks
-    uses_k = any(a in AXIS_ALGORITHMS["k"] for a in algorithms)
-    spectral = any(a != "dbscan" for a in algorithms)
     for point in points:
         SyntheticSpec(shape=args.gen, m=args.m, noise=point.noise, seed=args.seed)
-        if uses_k and not 1 <= point.k < args.m:
-            raise UsageError(f"need 1 <= k < m, got k={point.k}, m={args.m}")
-        if spectral and point.r is not None:
-            check_cluster_count(point.r, args.m)
-    grid = [(point, [_build_run(a, point) for a in algorithms]) for point in points]
+    grid = [(point, [_build_run(a, point, args.m, True) for a in algorithms])
+            for point in points]
     return values, algorithms, grid
 
 

@@ -1,10 +1,10 @@
 """CSV and edge-list I/O for point clouds, graphs, and clustering results,
-and the immutable point matrix and canonical edge list they load into."""
+and the immutable point matrix and canonical edge list they load into.
+Every file the package writes, CSV or SVG, is written by `write_text`."""
 
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +57,9 @@ class EdgeList:
     """Undirected weighted edges over nodes 0..node_count-1, stored canonically:
     pairs holds the sorted, unique int64 rows (j, l) with j < l, and weights the
     float64 sum of the weights given for each pair (either orientation, in order).
-    Node ids must be below 2**31 - 1, the largest a 32-bit sparse index holds.
+    The pairs given must be an E x 2 array of integral node ids (an empty one
+    may have any shape), with one weight each.  Node ids must be below 2**31 - 1, the
+    largest a 32-bit sparse index holds.
     """
 
     node_count: int
@@ -65,8 +67,20 @@ class EdgeList:
     weights: np.ndarray
 
     def __post_init__(self):
-        ends = np.asarray(self.pairs, dtype=np.int64)
+        given = np.asarray(self.pairs)
+        if given.size == 0:
+            given = given.reshape(0, 2)
+        if given.ndim != 2 or given.shape[1] != 2 or given.dtype.kind not in "iuf":
+            raise DataIOError("pairs must be an E x 2 array of node ids, got shape "
+                              f"{given.shape} of {given.dtype}")
         weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.shape != (len(given),):
+            raise DataIOError(f"need one weight per pair: {len(given)} pairs, "
+                              f"weights of shape {weights.shape}")
+        with np.errstate(invalid="ignore"):
+            ends = np.asarray(given, dtype=np.int64)
+        off = ends != given
+        _reject_first(off[:, 0] | off[:, 1], given, weights, "has a non-integer node id")
         _reject_first(ends[:, 0] == ends[:, 1], ends, weights, "is a self-loop")
         j, l = ends.T
         lo, hi = np.minimum(j, l), np.maximum(j, l)
@@ -79,7 +93,7 @@ class EdgeList:
         _reject_first(weights < 0, ends, weights, "has a negative weight")
         keys, which = np.unique(lo * n + hi, return_inverse=True)
         pairs = np.column_stack(np.divmod(keys, n))
-        summed = np.bincount(which, weights=weights, minlength=len(pairs))
+        summed = np.bincount(which, weights, len(pairs)).astype(np.float64, copy=False)
         _reject_first(~np.isfinite(summed), pairs, summed, "has a non-finite weight")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", summed)
@@ -185,24 +199,18 @@ def write_clustering(path, clustering) -> None:
 
 def write_csv_table(path, header, rows) -> None:
     """Write a generic CSV table; floats get 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        fields = []
-        for v in row:
-            if isinstance(v, float) or isinstance(v, np.floating):
-                fields.append(FLOAT_FORMAT % v)
-            else:
-                fields.append(str(v))
-        lines.append(",".join(fields))
-    with _output(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    def cell(v):
+        return FLOAT_FORMAT % v if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
-@contextmanager
-def _output(path):
-    """A text file opened for writing; OSError becomes DataIOError."""
+def write_text(path, text: str) -> None:
+    """Write text to a UTF-8 file, the one way this package writes a file;
+    an OSError becomes a DataIOError naming the file."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+            fh.write(text)
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from None

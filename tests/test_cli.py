@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import sys
 import weakref
 import xml.etree.ElementTree as ET
@@ -205,6 +206,34 @@ def test_scatter_of_coincident_points_is_centred(tmp_path):
     assert [c.get("fill") for c in circles] == [*svg.PALETTE[:2], svg.NOISE_COLOR]
 
 
+@pytest.mark.parametrize("args", [
+    ["--algo", "dbscan", "--eps", "0.3"],
+    ["--sweep", "noise", "--values", "0.1", "--repeats", "1", "--algo", "dbscan",
+     "--out", "CSV"],
+], ids=["run", "sweep"])
+def test_plot_into_missing_directory_is_runtime_error(tmp_path, capsys, args):
+    plot = tmp_path / "missing" / "plot.svg"
+    args = [str(tmp_path / "s.csv") if a == "CSV" else a for a in args]
+    code = run_cli(["--gen", "moons", "--m", "60", "--plot", str(plot)] + args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {plot}")
+
+
+def test_figures_are_byte_stable(tmp_path):
+    # both figures on fixed inputs, every optional part drawn: a title, noise
+    # labels, two series and both axis labels
+    points = [[0.0, 0.0], [1.0, 0.5], [0.25, 2.0], [3.0, -1.0], [2.0, 2.0]]
+    svg.scatter_svg(tmp_path / "s.svg", points, [0, 1, NOISE, 1, 2], title="sc (3 clusters)")
+    svg.line_chart_svg(tmp_path / "c.svg", [0.05, 0.1, 0.2],
+                       {"sc": ([0.9, 0.75, 0.5], [0.0, 0.05, 0.1]),
+                        "dbscan": ([1.0, 0.6, 0.3], [0.02, 0.2, 0.15])},
+                       x_label="noise", y_label="F-measure", title="moons: F vs noise")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("s.svg", "c.svg")]
+    assert digests == ["22b0ba808945b137663ea50325bea8ed68bbc8dcdee4a53bf7510b5da6351db8",
+                       "977715532f5db8bed2faff75918daecfe693f98b5b6ebed50ed8e1afe6ac9246"]
+
+
 def test_labeled_csv_input_reports_f(tmp_path, capsys):
     pts = tmp_path / "points.csv"
     rng = np.random.default_rng(1)
@@ -381,8 +410,13 @@ def count_pipeline_calls(monkeypatch):
     ["--algo", "spectacl", "-r", "61", "-d", "61"],
     ["--algo", "dbscan,sc", "-r", "2", "--restarts", "0"],
     ["--algo", "dbscan,sc", "-r", "100"],
+    ["--algo", "sc", "-r", "2", "--eps", "0.3"],
+    ["--algo", "sc,spectacl-norm", "-r", "2", "--eps", "0.3"],
+    ["--sweep", "epsilon", "--values", "0.2,0.3", "--algo", "dbscan", "--eps", "0.5"],
+    ["--sweep", "epsilon", "--values", "0.2,0.3", "-r", "2", "--eps", "0.5"],
 ], ids=["sc-r-one", "min-pts-zero", "knn-at-m", "restarts-zero", "r-above-m",
-        "sc-restarts-zero", "sc-r-above-m"])
+        "sc-restarts-zero", "sc-r-above-m", "sc-eps-unused", "knn-algorithms-eps-unused",
+        "dbscan-eps-swept", "all-eps-swept"])
 def test_sweep_invalid_fixed_parameter_writes_no_csv(monkeypatch, tmp_path, capsys, args):
     calls = count_pipeline_calls(monkeypatch)
     out = tmp_path / "s.csv"
@@ -394,6 +428,39 @@ def test_sweep_invalid_fixed_parameter_writes_no_csv(monkeypatch, tmp_path, caps
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
     assert calls == {}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--algo", "sc", "-r", "2", "--knn", "60"], "need 1 <= k < m, got k=60, m=60"),
+    (["--algo", "spectacl-norm", "-r", "2", "--knn", "0"], "need 1 <= k < m, got k=0, m=60"),
+    (["--algo", "spectacl", "-r", "61"], "r=61 exceeds the number of points 60"),
+    (["--algo", "sc", "-r", "61"], "r=61 exceeds the number of points 60"),
+], ids=["sc-knn-at-m", "spectacl-norm-knn-zero", "spectacl-r-above-m", "sc-r-above-m"])
+def test_single_run_checks_r_and_k_before_clustering(monkeypatch, capsys, args, message):
+    calls = count_pipeline_calls(monkeypatch)
+    code = run_cli(["--gen", "moons", "--m", "60"] + args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert calls == {}
+
+
+@pytest.mark.parametrize("pipeline, args", [
+    ("dbscan", ["--sweep", "noise", "--values", "0.1", "--algo", "sc,dbscan", "-r", "2"]),
+    ("spectacl", ["--sweep", "d", "--values", "4,8", "--algo", "spectacl", "-r", "2"]),
+], ids=["noise-sc-dbscan", "d-spectacl"])
+def test_sweep_passes_eps_to_the_algorithms_that_use_it(monkeypatch, tmp_path, pipeline, args):
+    radii, original = [], getattr(cli, pipeline)
+
+    def record(data, config):
+        radii.append(config.epsilon)
+        return original(data, config)
+
+    monkeypatch.setattr(cli, pipeline, record)
+    code = run_cli(["--gen", "moons", "--m", "60", "--repeats", "1", "--eps", "0.3",
+                    "--out", str(tmp_path / "s.csv")] + args)
+    assert code == 0
+    assert radii and set(radii) == {0.3}
 
 
 def test_sweep_runtime_failure_writes_partial_csv(monkeypatch, tmp_path, capsys):

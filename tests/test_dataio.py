@@ -17,6 +17,7 @@ from spectacl.dataio import (
 )
 from spectacl.graph import adjacency_from_edge_list
 from spectacl.kmeans import Clustering
+from spectacl.svg import line_chart_svg, scatter_svg
 
 from conftest import assert_same_csr, from_dense
 
@@ -180,11 +181,30 @@ def test_edge_list_matches_line_accumulation(tmp_path, rng):
         ([[0, 1], [1, 0]], [1e308, 1e308], r"edge \(0,1,inf\) has a non-finite weight"),
         ([[0, 1], [1, 2**31 - 1]], [1.0, 1.0],
          r"edge \(1,2147483647,1.0\) has a node index of 2\*\*31 - 1 or more"),
+        ([[0, 1]], [1.0, 2.0], r"need one weight per pair: 1 pairs, weights of shape \(2,\)"),
+        ([[0, 1], [1, 2]], [], r"need one weight per pair: 2 pairs, weights of shape \(0,\)"),
+        ([[0, 1, 2]], [1.0], r"pairs must be an E x 2 array of node ids, got shape \(1, 3\)"),
+        ([0, 1], [1.0], r"pairs must be an E x 2 array of node ids, got shape \(2,\)"),
+        ([["0", "1"]], [1.0], r"must be an E x 2 array of node ids, got shape \(1, 2\) of <U1"),
+        ([[0.5, 1]], [1.0], r"edge \(0.5,1.0,1.0\) has a non-integer node id"),
+        ([[0, 1], [1, np.nan]], [1.0, 1.0], r"edge \(1.0,nan,1.0\) has a non-integer node id"),
     ],
 )
 def test_edge_list_rejects(pairs, weights, match):
     with pytest.raises(DataIOError, match=match):
         EdgeList(node_count=3, pairs=pairs, weights=weights)
+
+
+@pytest.mark.parametrize("pairs", [[], np.empty((0, 2), dtype=np.int64), np.empty((2, 0))])
+def test_empty_edge_list_is_canonical(pairs):
+    edges = EdgeList(node_count=0, pairs=pairs, weights=[])
+    assert edges.pairs.shape == (0, 2) and edges.pairs.dtype == np.int64
+    assert edges.weights.shape == (0,) and edges.weights.dtype == np.float64
+
+
+def test_edge_list_takes_integral_float_ids():
+    edges = EdgeList(node_count=3, pairs=np.array([[2.0, 0.0], [1.0, 2.0]]), weights=[1.0, 2.0])
+    assert edges.pairs.tolist() == [[0, 2], [1, 2]] and edges.pairs.dtype == np.int64
 
 
 def test_edge_list_node_ids_fit_a_32_bit_index():
@@ -336,7 +356,12 @@ def test_graph_file_loads_the_pairs_and_weights_written(tmp_path, rng):
     (lambda tmp: write_clustering(tmp, Clustering(labels=np.zeros(1), n_clusters=1)),
      "cannot write"),
     (lambda tmp: write_csv_table(tmp / "missing" / "t.csv", ("a",), [(1,)]), "cannot write"),
-], ids=["matrix-1d", "labeled-one-column", "write-to-directory", "write-to-missing-directory"])
+    (lambda tmp: scatter_svg(tmp / "missing" / "s.svg", np.eye(2), [0, 1]),
+     r"cannot write .*missing.*s\.svg"),
+    (lambda tmp: line_chart_svg(tmp / "missing" / "c.svg", [0, 1], {"a": ([0, 1], [0, 0])}),
+     r"cannot write .*missing.*c\.svg"),
+], ids=["matrix-1d", "labeled-one-column", "write-to-directory", "write-to-missing-directory",
+        "scatter-to-missing-directory", "chart-to-missing-directory"])
 def test_data_io_rejects(tmp_path, call, match):
     (tmp_path / "one_column.csv").write_text("0\n1\n")
     with pytest.raises(DataIOError, match=match):
