@@ -4,6 +4,7 @@ Every file the package writes, CSV or SVG, is written by `write_text`."""
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -57,9 +58,10 @@ class EdgeList:
     """Undirected weighted edges over nodes 0..node_count-1, stored canonically:
     pairs holds the sorted, unique int64 rows (j, l) with j < l, and weights the
     float64 sum of the weights given for each pair (either orientation, in order).
-    The pairs given must be an E x 2 array of integral node ids (an empty one
-    may have any shape), with one weight each.  Node ids must be below 2**31 - 1, the
-    largest a 32-bit sparse index holds.
+    node_count must be an integer in [0, 2**31 - 1].  The pairs given must be
+    an E x 2 array of integral node ids (an empty one may have any shape), with
+    one real weight each.  Node ids must be below 2**31 - 1, the largest a
+    32-bit sparse index holds.  Every rejected input raises DataIOError.
     """
 
     node_count: int
@@ -67,34 +69,45 @@ class EdgeList:
     weights: np.ndarray
 
     def __post_init__(self):
-        given = np.asarray(self.pairs)
+        try:
+            n = operator.index(self.node_count)
+        except TypeError:
+            raise DataIOError(f"node_count must be an integer, got {self.node_count!r}") from None
+        try:
+            given, weights = np.asarray(self.pairs), np.asarray(self.weights)
+        except ValueError as exc:  # ragged nesting
+            raise DataIOError(f"pairs and weights must be arrays: {exc}") from None
         if given.size == 0:
             given = given.reshape(0, 2)
         if given.ndim != 2 or given.shape[1] != 2 or given.dtype.kind not in "iuf":
             raise DataIOError("pairs must be an E x 2 array of node ids, got shape "
                               f"{given.shape} of {given.dtype}")
-        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.dtype.kind not in "biuf":
+            raise DataIOError(f"weights must be real numbers, got {weights.dtype}")
+        weights = weights.astype(np.float64, copy=False)
         if weights.shape != (len(given),):
             raise DataIOError(f"need one weight per pair: {len(given)} pairs, "
                               f"weights of shape {weights.shape}")
-        with np.errstate(invalid="ignore"):
-            ends = np.asarray(given, dtype=np.int64)
-        off = ends != given
+        # every check reads the ids as given, so none can wrap in a cast
+        off = ~np.isfinite(given) | (np.round(given) != given)
         _reject_first(off[:, 0] | off[:, 1], given, weights, "has a non-integer node id")
-        _reject_first(ends[:, 0] == ends[:, 1], ends, weights, "is a self-loop")
-        j, l = ends.T
+        j, l = given.T
+        _reject_first(j == l, given, weights, "is a self-loop")
         lo, hi = np.minimum(j, l), np.maximum(j, l)
         # node ids fit a 32-bit sparse index, and the key lo * n + hi below is exact
-        _reject_first(hi >= 2**31 - 1, ends, weights, "has a node index of 2**31 - 1 or more")
-        n = self.node_count
+        _reject_first(hi >= 2**31 - 1, given, weights, "has a node index of 2**31 - 1 or more")
         if n > 2**31 - 1:
             raise DataIOError(f"node_count {n} is above 2**31 - 1")
-        _reject_first((lo < 0) | (hi >= n), ends, weights, f"has a node outside [0,{n})")
-        _reject_first(weights < 0, ends, weights, "has a negative weight")
-        keys, which = np.unique(lo * n + hi, return_inverse=True)
+        _reject_first((lo < 0) | (hi >= n), given, weights, f"has a node outside [0,{n})")
+        if n < 0:  # only an empty edge list gets here with a negative count
+            raise DataIOError(f"node_count {n} is negative")
+        _reject_first(weights < 0, given, weights, "has a negative weight")
+        keys, which = np.unique(lo.astype(np.int64) * n + hi.astype(np.int64),
+                                return_inverse=True)
         pairs = np.column_stack(np.divmod(keys, n))
         summed = np.bincount(which, weights, len(pairs)).astype(np.float64, copy=False)
         _reject_first(~np.isfinite(summed), pairs, summed, "has a non-finite weight")
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", summed)
 

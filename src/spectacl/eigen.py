@@ -15,8 +15,9 @@ Lanczos on the complement.  Lanczos sees one direction per distinct
 eigenvalue, so alone it would drop copies of the repeated eigenvalue 0; past
 the null space it can still drop copies of a repeated eigenvalue.
 
-Every iterative result is checked against explicit residuals before it is
-returned.  Small problems skip the iteration and use the dense path.
+Small problems skip the iteration and use the dense path (_dense).  Every
+iterative result, and laplacian_eigs's dense one, is checked against explicit
+residuals (_verified), and every result leaves through _canonical.
 
 Determinism: the start vector comes from a fixed internal seed, and every
 returned eigenvector is flipped so its largest-magnitude coordinate is
@@ -89,56 +90,29 @@ class EigenPairs:
         return self.values.shape[0]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-|entry| coordinate is positive (first on ties)."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, i])))
-        if out[j, i] < 0:
-            out[:, i] = -out[:, i]
-    return out
-
-
-def _abs_order(values: np.ndarray) -> np.ndarray:
-    """Sort order: |value| descending, then value descending (deterministic ties)."""
-    return np.lexsort((-values, -np.abs(values)))
-
-
-def _dense_pairs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh(A)
-    order = _abs_order(w)
-    return w[order], V[:, order]
-
-
 def truncated_eigs(W: SparseSymmetricMatrix, d: int) -> EigenPairs:
     """The d eigenpairs of largest |eigenvalue| of a symmetric matrix.
 
-    Residuals ||W v - lambda v|| are verified against
-    RESIDUAL_TOL * max(1, |lambda_1|) before returning; non-convergence raises
-    EigenSolverError.
-    The dense path is used for m <= DENSE_FALLBACK_DIM and whenever 2*d >= m:
-    ARPACK keeps a Krylov basis of 2*d + 1 vectors, so beyond that the dense
-    solver is no more expensive.
+    An iterative solve (see _dense) has its residuals ||W v - lambda v||
+    verified against RESIDUAL_TOL * max(1, |lambda_1|) before returning;
+    non-convergence raises EigenSolverError.
     """
     m = W.dim
     if not 1 <= d <= m:
         raise EigenSolverError(f"need 1 <= d <= m, got d={d}, m={m}")
-    if m <= DENSE_FALLBACK_DIM or 2 * d >= m:
-        vals, vecs = _dense_pairs(W.to_dense())
-        return EigenPairs(vals[:d], _fix_signs(vecs[:, :d]))
     if W.nnz == 0:
         # every vector is an eigenvector of the zero matrix, and ARPACK
         # cannot start from the zero Krylov vector W @ v0
-        return EigenPairs(np.zeros(d), np.eye(m, d))
-
-    vals, vecs = _arpack(W.matrix, k=d, which="LM", v0=_start_vector(m))
-    order = _abs_order(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    # columns are unit norm up to roundoff; tighten before the residual check
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    _check_residuals(W.matrix @ vecs - vecs * vals, vals)
-    return EigenPairs(vals, _fix_signs(vecs))
+        values, vectors = np.zeros(d), np.eye(m, d)
+    elif _dense(d, m):
+        values, vectors = np.linalg.eigh(W.to_dense())
+    else:
+        values, vectors = _arpack(W.matrix, k=d, which="LM", v0=_start_vector(m))
+        # eigsh returns C order, and the last bits of the column norms depend on
+        # the layout: they are summed along contiguous columns
+        vectors = np.asfortranarray(vectors)
+        _verified(lambda X: W.matrix @ X, values, vectors)
+    return _canonical(values, vectors, d)
 
 
 def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -> EigenPairs:
@@ -155,11 +129,9 @@ def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -
     does the result end with unit vectors of the lowest-index isolated nodes,
     L's eigenvalue 1 there.
 
-    Residuals ||L v - lambda v|| of the solved pairs are verified against
-    RESIDUAL_TOL * max(1, max |lambda|); non-convergence raises
-    EigenSolverError.
-    The remaining pairs are solved densely for m <= DENSE_FALLBACK_DIM and
-    whenever 2 * (pairs to solve) >= m, as in truncated_eigs.
+    Residuals ||L v - lambda v|| of the solved pairs, dense (see _dense) or
+    iterative, are verified against RESIDUAL_TOL * max(1, max |lambda|);
+    non-convergence raises EigenSolverError.
     """
     m = W.dim
     if not 1 <= r <= m:
@@ -171,21 +143,17 @@ def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -
     # components with edges, by volume descending, then by lowest member
     kept = np.flatnonzero(volume > 0)
     kept = kept[np.argsort(-volume[kept], kind="stable")]
-    c = kept.size
-    if c > r:
+    if kept.size > r:
         warnings.warn(
-            f"the graph has {c} connected components with edges, more than r={r}; "
+            f"the graph has {kept.size} connected components with edges, more than r={r}; "
             f"the embedding keeps the {r} largest by volume",
             stacklevel=3,  # past the pipeline to its caller
         )
         kept = kept[:r]
-    column = np.full(volume.size, -1)
-    column[kept] = np.arange(kept.size)
-    members = np.flatnonzero(column[component] >= 0)
-    Q = np.zeros((m, kept.size))
-    Q[members, column[component[members]]] = np.sqrt(deg[members] / volume[component[members]])
-    if c >= r:
-        return EigenPairs(np.full(r, 2.0), Q)
+    c = kept.size
+    # sqrt(deg / vol) of each node's component; an isolated node's 0 / 0 reads 0 / 1
+    scale = np.sqrt(deg / (volume[component] + isolated))
+    Q = np.where(component[:, None] == kept, scale[:, None], 0.0)
 
     def project(X):
         """X without its parts along Q and on the isolated nodes."""
@@ -199,7 +167,7 @@ def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -
     solve = min(r - c, m - int(np.count_nonzero(isolated)) - c)
     lam, vecs = np.zeros(0), np.zeros((m, 0))
     if solve > 0:
-        if m <= DENSE_FALLBACK_DIM or 2 * solve >= m:
+        if _dense(solve, m):
             # L with the known directions lifted to _DEFLATE_SHIFT or above
             lifted = -N.to_dense()
             lifted[np.diag_indices(m)] += 1.0 + _DEFLATE_SHIFT * isolated
@@ -217,14 +185,45 @@ def laplacian_eigs(W: SparseSymmetricMatrix, N: SparseSymmetricMatrix, r: int) -
             lam, vecs = _arpack(L, k=solve, sigma=_SIGMA, OPinv=OPinv,
                                 v0=project(_start_vector(m)))
         vecs = project(vecs)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        _check_residuals(laplacian(vecs) - vecs * lam, lam)
+        _verified(laplacian, lam, vecs)
     padding = np.flatnonzero(isolated)[: r - c - solve]
     values = np.concatenate([np.full(c, 2.0), 2.0 - lam, np.ones(padding.size)])
     vectors = np.hstack([Q, vecs, np.zeros((m, padding.size))])
     vectors[padding, c + solve + np.arange(padding.size)] = 1.0
-    order = _abs_order(values)
-    return EigenPairs(values[order], _fix_signs(vectors[:, order]))
+    return _canonical(values, vectors)
+
+
+def _dense(k: int, m: int) -> bool:
+    """Whether k eigenpairs of an m x m problem come from the dense solver:
+    for m <= DENSE_FALLBACK_DIM, read at call time, and whenever 2*k >= m,
+    since ARPACK keeps a Krylov basis of 2*k + 1 vectors, so beyond that the
+    dense solver is no more expensive."""
+    return m <= DENSE_FALLBACK_DIM or 2 * k >= m
+
+
+def _verified(apply, values: np.ndarray, vectors: np.ndarray) -> None:
+    """Scale the columns of vectors to unit norm, in place, and raise unless
+    every residual ||apply(v) - lambda v|| is within
+    RESIDUAL_TOL * max(1, max |lambda|)."""
+    vectors /= np.linalg.norm(vectors, axis=0)
+    worst = float(np.linalg.norm(apply(vectors) - vectors * values, axis=0).max())
+    bound = RESIDUAL_TOL * max(1.0, float(np.abs(values).max()))
+    if worst > bound:
+        raise EigenSolverError(
+            f"eigensolver did not reach tol={RESIDUAL_TOL}: residual {worst:.3e} > {bound:.3e}",
+            residual=worst,
+        )
+
+
+def _canonical(values: np.ndarray, vectors: np.ndarray, k: int | None = None) -> EigenPairs:
+    """The first k pairs (all by default) by |value| descending, then value
+    descending (deterministic ties), each vector flipped so its largest-|entry|
+    coordinate is positive (the first on ties)."""
+    order = np.lexsort((-values, -np.abs(values)))[:k]
+    vectors = vectors.take(order, axis=1)
+    top = np.abs(vectors).argmax(axis=0)
+    vectors *= np.where(vectors[top, np.arange(order.size)] < 0, -1.0, 1.0)
+    return EigenPairs(values[order], vectors)
 
 
 def _start_vector(m: int) -> np.ndarray:
@@ -237,16 +236,3 @@ def _arpack(A, **kwargs) -> tuple[np.ndarray, np.ndarray]:
         return eigsh(A, tol=RESIDUAL_TOL, **kwargs)
     except ArpackError as exc:
         raise EigenSolverError(f"ARPACK failed: {exc}") from exc
-
-
-def _check_residuals(residual: np.ndarray, values: np.ndarray) -> None:
-    """Raise unless every column of the residual matrix is within
-    RESIDUAL_TOL * max(1, |lambda|) of zero."""
-    residuals = np.linalg.norm(residual, axis=0)
-    bound = RESIDUAL_TOL * max(1.0, float(np.abs(values).max()))
-    worst = float(residuals.max())
-    if worst > bound:
-        raise EigenSolverError(
-            f"eigensolver did not reach tol={RESIDUAL_TOL}: residual {worst:.3e} > {bound:.3e}",
-            residual=worst,
-        )

@@ -252,8 +252,7 @@ def full_dense_eigs(matrix) -> EigenPairs:
         raise EigenSolverError(f"matrix is not square: {A.shape}")
     if not np.array_equal(A, A.T):
         raise EigenSolverError("matrix is not symmetric")
-    w, V = eigen._dense_pairs(A)
-    return EigenPairs(w, eigen._fix_signs(V))
+    return eigen._canonical(*np.linalg.eigh(A))
 
 
 def projected_density_check(W: SparseSymmetricMatrix, pairs: EigenPairs):

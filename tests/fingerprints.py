@@ -7,7 +7,10 @@ edge list built here.  A labels row holds the SHA-256 of the int64 labels,
 the cluster sizes (and the noise count, when there is noise) and F to 6
 digits.  A graph row holds the SHA-256 of the CSR arrays of the epsilon
 graph at the automatic radius, the 10-NN graph and its normalization on each
-dataset, and of the edge list's adjacency.
+dataset, and of the edge list's adjacency.  An eigen row holds the SHA-256 of
+the eigenvalues and eigenvectors that truncated_eigs returns on the spectacl
+and spectacl-norm graphs and laplacian_eigs on the 10-NN graph, on each
+dataset at noise 0.1, seed 0, and on the edge list, which takes the dense path.
 
 Rewrite the table after a change that moves a fingerprint on purpose, and
 list every changed id in CHANGES.md:
@@ -30,6 +33,7 @@ import scipy
 
 from spectacl.datagen import SyntheticSpec, generate
 from spectacl.dataio import EdgeList
+from spectacl.eigen import laplacian_eigs, truncated_eigs
 from spectacl.graph import (
     adjacency_from_edge_list,
     choose_epsilon,
@@ -53,6 +57,7 @@ SHAPES = {"moons": 2, "circles": 2, "blobs": 3}
 NOISES = (0.0, 0.1)
 SEEDS = (0, 1, 2)
 M = 1500
+EIGEN_DATASET = (0.1, 0)  # (noise, seed) of the datasets with eigen rows
 ALGORITHMS = {
     "spectacl": lambda data, r: spectacl(data, SpectaclConfig(r=r)),
     "spectacl-norm": lambda data, r: spectacl(data, SpectaclConfig(r=r, variant="normalized")),
@@ -77,6 +82,10 @@ def _sha256(*arrays) -> str:
 def graph_row(row_id, W) -> tuple[str, str, str, str]:
     mat = W.matrix
     return row_id, _sha256(np.array(mat.shape), mat.indptr, mat.indices, mat.data), "", ""
+
+
+def eigen_row(row_id, pairs) -> tuple[str, str, str, str]:
+    return row_id, _sha256(pairs.values, pairs.vectors), "", ""
 
 
 def labels_row(row_id, clustering, truth) -> tuple[str, str, str, str]:
@@ -119,8 +128,15 @@ def _fingerprints():
                 data, truth = generate(SyntheticSpec(shape=shape, m=M, noise=noise, seed=seed))
                 tag = f"{shape}/{noise:g}/{seed}"
                 for name, run in ALGORITHMS.items():
-                    rows.append(labels_row(f"{name}/{tag}", run(data, r), truth))
+                    result = run(data, r)
+                    rows.append(labels_row(f"{name}/{tag}", result, truth))
+                    if (noise, seed) == EIGEN_DATASET and name.startswith("spectacl"):
+                        rows.append(eigen_row(f"eigen/{name}/{tag}",
+                                              truncated_eigs(result.graph, 50)))
                 knn = knn_graph(data, 10)
+                if (noise, seed) == EIGEN_DATASET:
+                    rows.append(eigen_row(f"eigen/sc/{tag}",
+                                          laplacian_eigs(knn, symmetric_normalize(knn), r)))
                 rows.append(graph_row(f"graph/epsilon/{tag}",
                                       epsilon_graph(data, choose_epsilon(data))))
                 rows.append(graph_row(f"graph/knn/{tag}", knn))
@@ -130,6 +146,8 @@ def _fingerprints():
     rows.append(graph_row("graph/edge-list", W))
     rows.append(labels_row("spectacl/edge-list", spectacl(W, SpectaclConfig(r=3)), truth))
     rows.append(labels_row("sc/edge-list", spectral_clustering(W, 3), truth))
+    rows.append(eigen_row("eigen/spectacl/edge-list", truncated_eigs(W, 50)))
+    rows.append(eigen_row("eigen/sc/edge-list", laplacian_eigs(W, symmetric_normalize(W), 3)))
     return rows
 
 

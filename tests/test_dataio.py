@@ -188,11 +188,40 @@ def test_edge_list_matches_line_accumulation(tmp_path, rng):
         ([["0", "1"]], [1.0], r"must be an E x 2 array of node ids, got shape \(1, 2\) of <U1"),
         ([[0.5, 1]], [1.0], r"edge \(0.5,1.0,1.0\) has a non-integer node id"),
         ([[0, 1], [1, np.nan]], [1.0, 1.0], r"edge \(1.0,nan,1.0\) has a non-integer node id"),
+        ([[0, 1]], ["a"], r"weights must be real numbers, got <U1"),
+        ([[0, 1]], [1j], r"weights must be real numbers, got complex128"),
+        (np.array([[0, 1]]), np.array([1 + 0j]), r"weights must be real numbers, got complex128"),
+        ([[0, 1]], [None], r"weights must be real numbers, got object"),
+        (np.array([[0, 2**63]], dtype=np.uint64), [1.0],
+         r"edge \(0,9223372036854775808,1.0\) has a node index of 2\*\*31 - 1 or more"),
+        ([[0, 2.0**70]], [1.0], r"edge \(0.0,1.1805916207174113e\+21,1.0\) has a node index"),
+        ([[0, np.inf]], [1.0], r"edge \(0.0,inf,1.0\) has a non-integer node id"),
+        ([[0, 1], [2]], [1.0, 1.0], r"pairs and weights must be arrays: .*inhomogeneous"),
+        ([[0, 1]], [[1.0], [1.0, 2.0]], r"pairs and weights must be arrays: .*inhomogeneous"),
     ],
 )
 def test_edge_list_rejects(pairs, weights, match):
     with pytest.raises(DataIOError, match=match):
         EdgeList(node_count=3, pairs=pairs, weights=weights)
+
+
+@pytest.mark.parametrize("node_count, pairs, match", [
+    (2.5, [[0, 1]], r"node_count must be an integer, got 2.5"),
+    ("3", [[0, 1]], r"node_count must be an integer, got '3'"),
+    (None, [], r"node_count must be an integer, got None"),
+    (-1, [], r"node_count -1 is negative"),
+    (-1, [[0, 1]], r"edge \(0,1,1.0\) has a node outside \[0,-1\)"),
+])
+def test_edge_list_rejects_node_count(node_count, pairs, match):
+    with pytest.raises(DataIOError, match=match):
+        EdgeList(node_count=node_count, pairs=pairs, weights=[1.0] * len(pairs))
+
+
+def test_edge_list_stores_node_count_as_int():
+    edges = EdgeList(node_count=np.int64(3), pairs=np.array([[0, 1]], dtype=np.uint8),
+                     weights=[True])
+    assert type(edges.node_count) is int and edges.node_count == 3
+    assert edges.pairs.dtype == np.int64 and edges.weights.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("pairs", [[], np.empty((0, 2), dtype=np.int64), np.empty((2, 0))])

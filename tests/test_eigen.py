@@ -113,10 +113,11 @@ def test_sparse_graph_top_magnitudes_match_dense_oracle():
 
 
 def test_zero_matrix_returns_zero_pairs():
-    W = SparseSymmetricMatrix(sp.csr_matrix((600, 600)))
-    pairs = truncated_eigs(W, 7)
-    assert np.array_equal(pairs.values, np.zeros(7))
-    assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(7)).max() <= 1e-12
+    # the dense size (m = 100) and the iterative one (m = 600) give the same pairs
+    for m in (100, 600):
+        pairs = truncated_eigs(SparseSymmetricMatrix(sp.csr_matrix((m, m))), 7)
+        assert np.array_equal(pairs.values, np.zeros(7))
+        assert np.array_equal(pairs.vectors, np.eye(m, 7))
 
 
 def test_arpack_failure_is_eigen_solver_error(monkeypatch):
@@ -179,6 +180,25 @@ def test_sign_convention_and_determinism(rng, no_dense_fallback):
     for i in range(5):
         j = int(np.argmax(np.abs(p1.vectors[:, i])))
         assert p1.vectors[j, i] > 0
+
+
+def test_canonical_matches_the_column_loop(rng):
+    # columns with |entry| ties, where the first of the tied coordinates decides
+    values = np.array([0.5, -2.0, 2.0, 1.0, -0.5, 0.0])
+    vectors = rng.standard_normal((7, 6))
+    vectors[:, 0] = [0.0, -1.0, 1.0, 0.0, 0.5, 0.0, 0.0]
+    vectors[:, 1] = [0.0, 1.0, -1.0, 0.0, 0.5, 0.0, 0.0]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    order = np.lexsort((-values, -np.abs(values)))
+    expect = vectors[:, order].copy()
+    for i in range(expect.shape[1]):
+        j = int(np.argmax(np.abs(expect[:, i])))
+        if expect[j, i] < 0:
+            expect[:, i] = -expect[:, i]
+    pairs = eigen._canonical(values, vectors, 4)
+    assert pairs.values.tolist() == [2.0, -2.0, 1.0, 0.5]
+    assert np.array_equal(pairs.vectors, expect[:, :4])
+    assert pairs.vectors.flags["C_CONTIGUOUS"]
 
 
 def test_equal_magnitude_ties_prefer_positive():
@@ -323,6 +343,18 @@ def test_laplacian_eigs_solver_failure_is_eigen_solver_error(monkeypatch, no_den
     W, _ = cliques_graph((30, 30))
     with pytest.raises(EigenSolverError, match="ARPACK"):
         laplacian_eigs(W, symmetric_normalize(W), 3)
+
+
+def test_truncated_eigs_checks_residuals(monkeypatch, no_dense_fallback):
+    def inaccurate(A, k, **kwargs):
+        vals, vecs = np.linalg.eigh(A.toarray())
+        return vals[-k:], vecs[:, -k:] + 1e-6
+
+    monkeypatch.setattr(eigen, "eigsh", inaccurate)
+    W, _ = cliques_graph((6, 5, 4, 3))
+    with pytest.raises(EigenSolverError, match="did not reach") as info:
+        truncated_eigs(W, 3)
+    assert info.value.residual > eigen.RESIDUAL_TOL
 
 
 def test_laplacian_eigs_checks_residuals(monkeypatch, no_dense_fallback):

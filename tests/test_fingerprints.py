@@ -1,11 +1,11 @@
-"""Labels and graphs of a fixed corpus (tests/fingerprints.py) against the
-checked-in table tests/fingerprints.csv.
+"""Labels, eigenpairs and graphs of a fixed corpus (tests/fingerprints.py)
+against the checked-in table tests/fingerprints.csv.
 
-Graph rows need no BLAS or LAPACK and must match everywhere.  Label rows go
-through ARPACK and BLAS, and no determinism contract spans numpy and scipy
-builds yet, so they must match under the numpy and scipy versions the table
-was written with; under other versions a mismatch is an expected failure
-whose reason lists every changed id.
+Graph rows need no BLAS or LAPACK and must match everywhere.  Label and eigen
+rows go through ARPACK and BLAS, and no determinism contract spans numpy and
+scipy builds yet, so they must match under the numpy and scipy versions the
+table was written with; under other versions a mismatch is an expected
+failure whose reason lists every changed id.
 """
 
 import pytest
