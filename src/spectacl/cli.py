@@ -167,7 +167,7 @@ def _build_run(name, args, m, points):
     if points and name in AXIS_ALGORITHMS["k"] and not 1 <= args.k < m:
         raise UsageError(f"need 1 <= k < m, got k={args.k}, m={m}")
     if name == "sc":
-        check_spectral_clustering(args.r, args.restarts)
+        check_spectral_clustering(args.r, args.restarts, args.seed)
         return lambda source: spectral_clustering(source, args.r, k=args.k, seed=args.seed,
                                                   restarts=args.restarts)
     variant = "normalized" if name == "spectacl-norm" else "unnormalized"

@@ -43,6 +43,8 @@ class SyntheticSpec:
             raise DataGenError(f"circles factor must be in (0, 1), got {self.factor}")
         if self.centers < 1:
             raise DataGenError(f"need at least one blob center, got {self.centers}")
+        if self.seed < 0:
+            raise DataGenError(f"need seed >= 0, got {self.seed}")
 
 
 def generate(spec: SyntheticSpec) -> tuple[DataMatrix, Clustering]:

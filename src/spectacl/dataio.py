@@ -34,7 +34,10 @@ class DataMatrix:
     _neighbors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        given = np.asarray(self.values)
+        if given.dtype.kind not in "biuf":
+            raise DataIOError(f"matrix entries must be real numbers, got {given.dtype}")
+        arr = np.array(given, dtype=np.float64)
         if arr.ndim != 2:
             raise DataIOError(f"expected a 2-d matrix, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -55,9 +55,17 @@ class Clustering:
     n_clusters: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biuf":
+            raise ClusteringError(f"labels must be real numbers, got {labels.dtype}")
         if labels.ndim != 1:
             raise ClusteringError(f"labels must be 1-d, got shape {labels.shape}")
+        if self.n_clusters < 0:
+            raise ClusteringError(f"need n_clusters >= 0, got {self.n_clusters}")
+        # every check reads the labels as given, so none can wrap in the cast
+        fractional = np.round(labels) != labels  # NaN included
+        if np.any(fractional):
+            raise ClusteringError(f"labels must be integers, got {labels[fractional][0]}")
         if labels.size:
             bad = (labels != NOISE) & ((labels < 0) | (labels >= self.n_clusters))
             if np.any(bad):
@@ -65,7 +73,7 @@ class Clustering:
                     f"labels outside [0,{self.n_clusters}) and not noise: "
                     f"{np.unique(labels[bad])}"
                 )
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def m(self) -> int:
@@ -106,7 +114,10 @@ def kmeans(
     final centroids, computed once after the loop.  The result with the
     lowest inertia wins; ties keep the earliest restart.
     """
-    X = np.asarray(data, dtype=np.float64)
+    X = np.asarray(data)
+    if X.dtype.kind not in "biuf":
+        raise ClusteringError(f"data must be real numbers, got {X.dtype}")
+    X = X.astype(np.float64, copy=False)
     if X.ndim != 2:
         raise ClusteringError(f"data must be 2-d, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
@@ -116,6 +127,8 @@ def kmeans(
         raise ClusteringError(f"need 1 <= r <= m, got r={r}, m={m}")
     if restarts < 1:
         raise ClusteringError(f"need restarts >= 1, got {restarts}")
+    if seed < 0:
+        raise ClusteringError(f"need seed >= 0, got {seed}")
 
     streams = np.random.SeedSequence(seed).spawn(restarts)
     group = max(1, LOCKSTEP_BYTES // (8 * (r + 10) * m))
@@ -249,19 +262,17 @@ def _nearest(X, Xt, xnorm, centers):
 
 def _means(X, labels, r):
     """Exact centroids (restarts x r x n) of the labels (restarts x m) of the
-    C-ordered X: each sum adds the member rows in index order from +0.0, as
-    numpy's mean over axis 0 does for two or more columns, so the means are
-    bit-identical to X[labels[j] == k].mean(axis=0).  One column numpy sums
-    pairwise, so there the means are numpy's."""
+    C-ordered X, bit-identical to X[labels[j] == k].mean(axis=0): scipy's
+    COO-to-CSR conversion sorts each membership row by point index, so each
+    sum adds the member rows in index order from +0.0, as numpy's mean does
+    for two or more columns.  One column numpy sums pairwise, so there the
+    means are numpy's."""
     g, m = labels.shape
     if X.shape[1] == 1:
         return np.array([[X[row == k].mean(axis=0) for k in range(r)] for row in labels])
     key = (labels + r * np.arange(g)[:, None]).ravel()  # row j * r + k: cluster k of restart j
-    key = key.astype(np.min_scalar_type(g * r))  # 8 and 16 bits sort by radix
-    order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=g * r)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    members = sp.csr_matrix((np.ones(g * m), order % m, indptr), shape=(g * r, m))
+    members = sp.csr_matrix((np.ones(g * m), (key, np.tile(np.arange(m), g))), shape=(g * r, m))
     return ((members @ X) / counts[:, None]).reshape(g, r, -1)
 
 

@@ -135,7 +135,7 @@ def hungarian(matrix: np.ndarray, maximize: bool = False) -> dict[int, int]:
 
     Equivalent to padding the smaller side with zero-score dummies; rows left
     unassigned on a wide-vs-tall mismatch are simply absent from the mapping.
-    The mapping is in row order.
+    scipy matches rectangular matrices in either orientation, in row order.
 
     Solved by scipy.sparse.csgraph's LAPJVsp (Jonker & Volgenant), which
     minimizes over nonzero weights only, so the costs C (the scores, negated
@@ -152,14 +152,7 @@ def hungarian(matrix: np.ndarray, maximize: bool = False) -> dict[int, int]:
         raise MetricError("score matrix has non-finite entries")
     if mat.size == 0:
         return {}
-    tall = mat.shape[0] > mat.shape[1]  # cheaper to transpose here than as a sparse matrix
-    half = 0.5 * (mat.T if tall else mat)
+    half = 0.5 * mat
     lifted = (half.max() - half if maximize else half - half.min()) + 1.0
-    n, k = lifted.shape
-    biadjacency = sp.csr_matrix(
-        (lifted.ravel(), np.arange(n * k) % k, np.arange(0, n * k + 1, k)), shape=(n, k))
-    rows, cols = min_weight_full_bipartite_matching(biadjacency)
-    if tall:
-        order = np.argsort(cols)
-        rows, cols = cols[order], rows[order]
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_matrix(lifted))
     return {int(s): int(t) for s, t in zip(rows, cols)}

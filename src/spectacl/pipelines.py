@@ -85,6 +85,8 @@ class SpectaclConfig:
             raise PipelineError(f"need d >= 1, got {self.d}")
         if self.restarts < 1:
             raise PipelineError(f"need restarts >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise PipelineError(f"need seed >= 0, got {self.seed}")
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise PipelineError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.d < self.r:
@@ -147,12 +149,14 @@ def check_cluster_count(r: int, points: int) -> None:
         raise PipelineError(f"r={r} exceeds the number of points {points}")
 
 
-def check_spectral_clustering(r: int, restarts: int) -> None:
+def check_spectral_clustering(r: int, restarts: int, seed: int) -> None:
     """The parameter checks of spectral_clustering, which has no config."""
     if r < 2:
         raise PipelineError(f"need r >= 2, got {r}")
     if restarts < 1:
         raise PipelineError(f"need restarts >= 1, got {restarts}")
+    if seed < 0:
+        raise PipelineError(f"need seed >= 0, got {seed}")
 
 
 def _spectral_graph(data_or_graph, build, r: int) -> tuple[SparseSymmetricMatrix, float | None]:
@@ -205,7 +209,7 @@ def spectral_clustering(
     k-means runs on all r columns.  Isolated points get zero rows, unless the
     rest of the graph has fewer than r pairs (as on an edgeless graph).
     """
-    check_spectral_clustering(r, restarts)
+    check_spectral_clustering(r, restarts, seed)
     W, _ = _spectral_graph(data_or_graph, lambda data: (knn_graph(data, k), None), r)
     normalized = symmetric_normalize(W)
     pairs = laplacian_eigs(W, normalized, r)

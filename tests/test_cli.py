@@ -430,6 +430,18 @@ def test_sweep_invalid_fixed_parameter_writes_no_csv(monkeypatch, tmp_path, caps
     assert calls == {}
 
 
+def test_sweep_pipeline_error_mid_sweep_writes_no_csv(monkeypatch, tmp_path, capsys):
+    # auto epsilon needs 11 points, which only the pipeline, not the CLI, checks
+    calls = count_pipeline_calls(monkeypatch)
+    out = tmp_path / "s.csv"
+    code = run_cli(["--gen", "moons", "--m", "10", "--sweep", "noise", "--values", "0.1,0.2",
+                    "--algo", "dbscan", "--out", str(out)])
+    assert code == 2
+    assert "at least 11 points" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == {"dbscan": 1}
+
+
 @pytest.mark.parametrize("args, message", [
     (["--algo", "sc", "-r", "2", "--knn", "60"], "need 1 <= k < m, got k=60, m=60"),
     (["--algo", "spectacl-norm", "-r", "2", "--knn", "0"], "need 1 <= k < m, got k=0, m=60"),

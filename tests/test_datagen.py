@@ -91,3 +91,5 @@ def test_spec_validation():
         SyntheticSpec(shape="circles", m=10, factor=1.5)
     with pytest.raises(DataGenError, match="at least one blob center"):
         SyntheticSpec(shape="blobs", m=10, centers=0)
+    with pytest.raises(DataGenError, match="need seed >= 0, got -1"):
+        SyntheticSpec(shape="moons", seed=-1)

@@ -353,6 +353,13 @@ def test_edge_list_node_id_beyond_int64_names_its_line(tmp_path):
         load_edge_list(p)
 
 
+def test_edge_list_bad_weight_names_its_line(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1 x\n")
+    with pytest.raises(DataIOError, match="line 1: bad weight in '0 1 x'"):
+        load_edge_list(p)
+
+
 def test_graph_file_loads_the_pairs_and_weights_written(tmp_path, rng):
     # about 40000 distinct pairs over 3000 nodes, as a planted-partition file
     # holds, written in shuffled order and orientation, then with weights,
@@ -381,6 +388,9 @@ def test_graph_file_loads_the_pairs_and_weights_written(tmp_path, rng):
 
 @pytest.mark.parametrize("call, match", [
     (lambda tmp: DataMatrix(np.zeros(3)), r"expected a 2-d matrix, got shape \(3,\)"),
+    (lambda tmp: DataMatrix(np.array([[1 + 1j], [2]])),
+     "matrix entries must be real numbers, got complex128"),
+    (lambda tmp: DataMatrix([["1"], ["2"]]), "matrix entries must be real numbers, got <U1"),
     (lambda tmp: load_labeled_points(tmp / "one_column.csv"), "at least one feature column"),
     (lambda tmp: write_clustering(tmp, Clustering(labels=np.zeros(1), n_clusters=1)),
      "cannot write"),
@@ -389,7 +399,7 @@ def test_graph_file_loads_the_pairs_and_weights_written(tmp_path, rng):
      r"cannot write .*missing.*s\.svg"),
     (lambda tmp: line_chart_svg(tmp / "missing" / "c.svg", [0, 1], {"a": ([0, 1], [0, 0])}),
      r"cannot write .*missing.*c\.svg"),
-], ids=["matrix-1d", "labeled-one-column", "write-to-directory", "write-to-missing-directory",
+], ids=["matrix-1d", "matrix-complex", "matrix-strings", "labeled-one-column", "write-to-directory", "write-to-missing-directory",
         "scatter-to-missing-directory", "chart-to-missing-directory"])
 def test_data_io_rejects(tmp_path, call, match):
     (tmp_path / "one_column.csv").write_text("0\n1\n")

@@ -370,6 +370,25 @@ def test_laplacian_eigs_checks_residuals(monkeypatch, no_dense_fallback):
     assert info.value.residual > eigen.RESIDUAL_TOL
 
 
+@pytest.mark.xfail(strict=False, reason=(
+    "ARPACK on the projected, rank-deficient shift-invert operator varies its bytes from call "
+    "to call, most likely through its restart vector after a Lanczos breakdown; whether this "
+    "reproduces depends on the ARPACK build"))
+def test_laplacian_eigs_repeats_its_bytes_on_a_triple_eigenvalue(no_dense_fallback):
+    # 202 stored entries, 2 isolated nodes and 4 components with edges; L's
+    # eigenvalue 1 is triple.  random_state=2 is the draw that shows it.
+    A = sp.random(60, 60, density=8 / 60, random_state=2)
+    D = (A + A.T).toarray()
+    np.fill_diagonal(D, 0.0)
+    block = np.repeat(np.arange(4), 15)
+    D[block[:, None] != block[None, :]] = 0.0
+    W = SparseSymmetricMatrix(sp.csr_matrix(D))
+    N = symmetric_normalize(W)
+    first, second = laplacian_eigs(W, N, 31), laplacian_eigs(W, N, 31)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.vectors.tobytes() == second.vectors.tobytes()
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: EigenPairs(values=np.ones(2), vectors=np.eye(3)), "inconsistent shapes"),
     (lambda: laplacian_eigs(*[cliques_graph((3,))[0]] * 2, 0), "need 1 <= r <= m, got r=0, m=3"),

@@ -507,8 +507,10 @@ TWO_POINTS = DataMatrix(np.array([[0.0], [1.0]]))
     (lambda: epsilon_graph(TWO_POINTS, np.nan), "radius must be positive and finite"),
     (lambda: choose_epsilon(TWO_POINTS, 1, coverage=0.0), r"coverage must be in \(0, 1\]"),
     (lambda: choose_epsilon(TWO_POINTS, 1, coverage=1.5), r"coverage must be in \(0, 1\]"),
+    (lambda: knn_graph(TWO_POINTS, 0), "need 1 <= k < m, got k=0, m=2"),
+    (lambda: knn_graph(TWO_POINTS, 2), "need 1 <= k < m, got k=2, m=2"),
 ], ids=["not-square", "non-finite-weight", "radius-zero", "radius-inf", "radius-nan",
-        "coverage-zero", "coverage-above-one"])
+        "coverage-zero", "coverage-above-one", "knn-zero", "knn-at-m"])
 def test_graph_rejects_bad_arguments(call, match):
     with pytest.raises(GraphError, match=match):
         call()

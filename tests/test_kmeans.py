@@ -348,7 +348,20 @@ def test_clustering_label_validation():
      r"labels must be 1-d, got shape \(2, 2\)"),
     (lambda: kmeans(np.zeros(3), 1), r"data must be 2-d, got shape \(3,\)"),
     (lambda: kmeans(np.zeros((3, 2)), 1, restarts=0), "need restarts >= 1, got 0"),
-], ids=["labels-2d", "data-1d", "restarts-zero"])
+    (lambda: Clustering(labels=np.array([0.5, 1.2]), n_clusters=2),
+     "labels must be integers, got 0.5"),
+    (lambda: Clustering(labels=np.array([0.0, np.nan]), n_clusters=1),
+     "labels must be integers, got nan"),
+    (lambda: Clustering(labels=np.array([-1]), n_clusters=-3), "need n_clusters >= 0, got -3"),
+    (lambda: Clustering(labels=np.array([0j]), n_clusters=1),
+     "labels must be real numbers, got complex128"),
+    (lambda: Clustering(labels=["0", "1"], n_clusters=2), "labels must be real numbers, got <U1"),
+    (lambda: kmeans(np.array([[1 + 1j], [2]]), 1), "data must be real numbers, got complex128"),
+    (lambda: kmeans([["1"], ["2"]], 1), "data must be real numbers, got <U1"),
+    (lambda: kmeans(np.zeros((3, 2)), 1, seed=-1), "need seed >= 0, got -1"),
+], ids=["labels-2d", "data-1d", "restarts-zero", "labels-fractional", "labels-nan",
+        "n-clusters-negative", "labels-complex", "labels-strings", "data-complex", "data-strings",
+        "seed-negative"])
 def test_kmeans_rejects_bad_arguments(call, match):
     with pytest.raises(ClusteringError, match=match):
         call()

@@ -109,6 +109,8 @@ def test_spectacl_warns_when_d_below_r():
 def test_spectacl_rejects_bad_inputs():
     with pytest.raises(PipelineError):
         SpectaclConfig(r=2, variant="weird")
+    with pytest.raises(PipelineError, match="need seed >= 0, got -1"):
+        SpectaclConfig(r=2, seed=-1)
     with pytest.raises(PipelineError):
         spectacl([[0.0]], SpectaclConfig(r=1, d=1))
     W, _ = cliques_graph((3,))
@@ -230,6 +232,10 @@ def test_spectral_clustering_requires_two_clusters():
     data, _ = generate(SyntheticSpec(shape="moons", m=20, noise=0.0, seed=0))
     with pytest.raises(PipelineError):
         spectral_clustering(data, 1)
+    with pytest.raises(PipelineError, match="need seed >= 0, got -1"):
+        spectral_clustering(data, 2, seed=-1)
+    with pytest.raises(PipelineError, match="need 1 <= k < m, got k=0, m=20"):
+        spectral_clustering(data, 2, k=0)
 
 
 def test_dbscan_coincident_core_and_outlier():
